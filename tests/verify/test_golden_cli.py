@@ -6,8 +6,11 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.runtime.cli import main
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, load_scenario_file
 from repro.verify import diff_golden, golden_path, record_golden
+
+#: The detailed-backend golden scenarios (catalog scenarios on ``detailed``).
+DETAILED_SPECS = os.path.join(os.path.dirname(__file__), "..", "golden", "specs", "detailed.yaml")
 
 
 class TestGoldenFixtures:
@@ -154,6 +157,17 @@ class TestCheckedInGoldens:
         # must not leak into pre-existing fixtures.
         with open(golden_path("smoke"), "r", encoding="utf-8") as handle:
             assert '"kind":"fidelity"' not in handle.read()
+
+    def test_detailed_backend_fixtures_match(self):
+        # The detailed backend's per-pair event dynamics are pinned by their
+        # own fixtures; the largest (paper_baseline_detailed) is diffed in CI.
+        specs = {spec.name: spec for spec in load_scenario_file(DETAILED_SPECS)}
+        assert set(specs) >= {"smoke_detailed", "paper_baseline_detailed"}
+        for name in ("smoke_detailed", "smoke_noisy_detailed", "torus_permutation_detailed"):
+            spec = specs[name]
+            assert spec.runtime.backend == "detailed"
+            diff = diff_golden(spec)
+            assert diff.ok, diff.summary()
 
     def test_record_then_diff_round_trips_on_fresh_checkout(self, tmp_path):
         # Satellite check: `verify record` + `verify diff` must round-trip
