@@ -5,13 +5,22 @@ sequence) ordered callbacks on a binary heap.  Both the detailed per-pair
 simulator and the flow simulator drive their state machines through this
 kernel, so simulated time handling, determinism and stop conditions live in
 one place.
+
+The heap holds ``(time, priority, sequence, event)`` tuples rather than the
+events themselves, so every ordering comparison runs in C; ``sequence`` is
+unique, so the trailing event is never compared.  Cancellation is lazy: a
+cancelled event keeps its heap slot until it is popped or the heap is
+compacted.  An event is *detached* from its engine (``owner = None``) when it
+leaves the heap — dispatched, or discarded by :meth:`SimulationEngine.drain`
+— so cancelling it afterwards only sets its flag and never touches the
+engine's ``cancelled_pending`` count, which therefore always equals the
+cancelled entries still in the heap.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..trace.records import EventDispatched
@@ -24,21 +33,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: half the heap is cancelled — which bounds the heap at ~2x the live events.
 _COMPACT_MIN_HEAP = 64
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
-@dataclass(order=True)
+
 class Event:
     """A scheduled callback.
 
     Ordering is by time, then priority (lower first), then insertion sequence,
-    which makes simulations fully deterministic.
+    which makes simulations fully deterministic.  The engine orders its heap
+    entries by that key; events themselves are not comparable.
     """
 
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    owner: Optional["SimulationEngine"] = field(default=None, compare=False, repr=False)
+    __slots__ = ("time", "priority", "sequence", "callback", "cancelled", "owner")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        sequence: int,
+        callback: Callable[[], None],
+        owner: Optional["SimulationEngine"],
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.callback = callback
+        self.cancelled = False
+        #: The engine whose heap holds this event; None once it has left it.
+        self.owner = owner
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, priority={self.priority!r}, "
+            f"sequence={self.sequence!r}, cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -48,7 +77,8 @@ class Event:
         heap once cancelled entries dominate — without that accounting a
         workload that reschedules aggressively (the flow transport cancels
         and reissues a completion event per reallocation) leaks heap entries
-        linearly in event count.
+        linearly in event count.  An event that already left the heap has no
+        owner, so cancelling it is a no-op for the engine.
         """
         if not self.cancelled:
             self.cancelled = True
@@ -66,10 +96,9 @@ class SimulationEngine:
 
     def __init__(self, *, trace: Optional["TraceBus"] = None) -> None:
         self._now = 0.0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._processed = 0
-        self._running = False
         self._cancelled_pending = 0
         self.trace = trace
 
@@ -103,7 +132,12 @@ class SimulationEngine:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, priority=priority)
+        time = self._now + delay
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, self)
+        _heappush(self._heap, (time, priority, sequence, event))
+        return event
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], *, priority: int = 0
@@ -113,20 +147,17 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        event = Event(
-            time=time, priority=priority, sequence=self._sequence, callback=callback, owner=self
-        )
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, self)
+        _heappush(self._heap, (time, priority, sequence, event))
         return event
 
     # -- cancellation accounting ------------------------------------------------------
 
     def _note_cancellation(self) -> None:
-        # Cancelling an event that already fired (possible through stale
-        # references) must not overcount: cancelled-in-heap never exceeds the
-        # heap size, so clamping keeps the counter sound either way.
-        self._cancelled_pending = min(self._cancelled_pending + 1, len(self._heap))
+        # Only events still in the heap have an owner, so the count is exact.
+        self._cancelled_pending += 1
         if (
             len(self._heap) >= _COMPACT_MIN_HEAP
             and self._cancelled_pending * 2 > len(self._heap)
@@ -136,11 +167,12 @@ class SimulationEngine:
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries.
 
-        Event ordering is total (time, priority, unique sequence), so
+        Heap keys are a total order (time, priority, unique sequence), so
         ``heapify`` reproduces exactly the pop order the thinned heap would
-        have had — compaction is invisible to the simulation.
+        have had — compaction is invisible to the simulation.  It replaces
+        the heap list, so loops holding a reference must re-read it.
         """
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
 
@@ -148,12 +180,14 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, _, event = _heappop(heap)
             if event.cancelled:
-                self._cancelled_pending = max(self._cancelled_pending - 1, 0)
+                self._cancelled_pending -= 1
                 continue
-            self._now = event.time
+            event.owner = None
+            self._now = time
             self._processed += 1
             if self.trace is not None:
                 self._trace_dispatch(event)
@@ -172,33 +206,39 @@ class SimulationEngine:
 
         Returns the simulated time at which the run stopped.
         """
-        self._running = True
+        heappop = _heappop
+        trace = self.trace
+        limit = float("inf") if max_events is None else max_events
         executed = 0
-        try:
-            while self._heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                next_event = self._peek()
-                if next_event is None:
-                    break
-                if until is not None and next_event.time > until:
-                    self._now = until
-                    break
-                if not self.step():
-                    break
-                executed += 1
-        finally:
-            self._running = False
+        heap = self._heap
+        while heap and executed < limit:
+            entry = heappop(heap)
+            event = entry[3]
+            if event.cancelled:
+                self._cancelled_pending -= 1
+                continue
+            time = entry[0]
+            if until is not None and time > until:
+                # Put it back: the key is unchanged, so the pop order is too.
+                _heappush(heap, entry)
+                self._now = until
+                break
+            event.owner = None
+            self._now = time
+            self._processed += 1
+            if trace is not None:
+                self._trace_dispatch(event)
+            event.callback()
+            executed += 1
+            # A cancellation inside the callback may have compacted the heap
+            # into a new list.
+            heap = self._heap
         return self._now
-
-    def _peek(self) -> Optional[Event]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled_pending = max(self._cancelled_pending - 1, 0)
-        return self._heap[0] if self._heap else None
 
     def drain(self) -> None:
         """Discard all pending events (used when aborting a simulation)."""
+        for entry in self._heap:
+            entry[3].owner = None
         self._heap.clear()
         self._cancelled_pending = 0
 

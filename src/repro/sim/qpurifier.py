@@ -18,8 +18,10 @@ Two views are provided:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from functools import partial
+from typing import Callable, Deque, List, Optional
 
 from ..errors import ConfigurationError
 from ..physics.parameters import IonTrapParameters
@@ -166,14 +168,15 @@ class QueuePurifier:
         self._service = service if service is not None else ServiceCenter(
             engine, units, name=f"{name}.units"
         )
+        self._round_us = self.params.times.purify_round(0.0)
         self._levels: List[int] = [0] * (depth + 1)
         self._good_pairs = 0
         self._rounds_executed = 0
         self._input_state = input_state
         self._protocol = protocol
         #: FIFO state queue per level, parallel to the ``_levels`` counters.
-        self._level_states: Optional[List[List[BellDiagonalState]]] = (
-            [[] for _ in range(depth + 1)] if input_state is not None else None
+        self._level_states: Optional[List[Deque[BellDiagonalState]]] = (
+            [deque() for _ in range(depth + 1)] if input_state is not None else None
         )
         self._good_pair_fidelities: List[float] = []
 
@@ -214,7 +217,6 @@ class QueuePurifier:
         for level in range(self.depth):
             while self._levels[level] >= 2:
                 self._levels[level] -= 2
-                duration = self.params.times.purify_round(0.0)
                 self._rounds_executed += 1
                 out_state = None
                 if self._level_states is not None:
@@ -222,11 +224,9 @@ class QueuePurifier:
                     # so it is computed at submit time and merely delivered at
                     # round completion — no timing impact.
                     queue = self._level_states[level]
-                    pair_a, pair_b = queue.pop(0), queue.pop(0)
+                    pair_a, pair_b = queue.popleft(), queue.popleft()
                     out_state = self._protocol.round(pair_a, pair_b).state
-                self._service.submit(
-                    duration, lambda lv=level, st=out_state: self._round_done(lv, st)
-                )
+                self._service.submit(self._round_us, partial(self._round_done, level, out_state))
 
     def _round_done(self, level: int, state: Optional[BellDiagonalState] = None) -> None:
         self._levels[level + 1] += 1
@@ -235,7 +235,7 @@ class QueuePurifier:
         if level + 1 == self.depth:
             self._levels[level + 1] -= 1
             if self._level_states is not None:
-                emitted = self._level_states[level + 1].pop(0)
+                emitted = self._level_states[level + 1].popleft()
                 self._good_pair_fidelities.append(emitted.fidelity)
             self._good_pairs += 1
             trace = self.engine.trace

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Optional
 
 from ..errors import SimulationError
@@ -107,8 +108,19 @@ class ServiceCenter:
         """Queue a job of ``duration`` microseconds; ``done`` fires at completion."""
         if duration < 0:
             raise SimulationError(f"duration must be non-negative, got {duration}")
-        arrival = self._engine.now
-        self._queue.append((arrival, duration, done))
+        if self._busy < self.capacity and not self._queue:
+            # Idle server, empty queue: the job starts now.  It still counts
+            # as passing through a queue of length one, and its zero wait
+            # adds nothing to ``total_wait``.
+            stats = self.stats
+            if stats.max_queue_length < 1:
+                stats.max_queue_length = 1
+            self._busy += 1
+            stats.jobs_served += 1
+            stats.busy_time += duration
+            self._engine.schedule(duration, partial(self._finish, done))
+            return
+        self._queue.append((self._engine.now, duration, done))
         self.stats.max_queue_length = max(self.stats.max_queue_length, len(self._queue))
         self._dispatch()
 
@@ -119,13 +131,14 @@ class ServiceCenter:
             self.stats.total_wait += self._engine.now - arrival
             self.stats.jobs_served += 1
             self.stats.busy_time += duration
-            self._engine.schedule(duration, lambda d=done: self._finish(d))
+            self._engine.schedule(duration, partial(self._finish, done))
 
     def _finish(self, done: Optional[Callable[[], None]]) -> None:
         self._busy -= 1
         if done is not None:
             done()
-        self._dispatch()
+        if self._queue:
+            self._dispatch()
 
     def throughput_per_us(self, job_duration: float) -> float:
         """Steady-state job completion rate for jobs of ``job_duration``."""

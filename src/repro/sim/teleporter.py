@@ -64,6 +64,9 @@ class TeleporterNodeSim:
         self._stored = 0
         self._turns = 0
         self._teleports = 0
+        #: Constant per-swap service times (the router gate, the X<->Y move).
+        self._teleport_us = self.params.times.teleport(0.0)
+        self._turn_us = self.params.times.ballistic(self.router.turn_cells)
 
     # -- state ----------------------------------------------------------------------
 
@@ -122,10 +125,10 @@ class TeleporterNodeSim:
         ``turn`` adds the intra-router ballistic move between the X and Y sets
         before the swap is serviced.
         """
-        duration = self.params.times.teleport(0.0)
+        duration = self._teleport_us
         if turn:
             self._turns += 1
-            duration += self.params.times.ballistic(self.router.turn_cells)
+            duration += self._turn_us
         self._teleports += 1
         trace = self.engine.trace
         if trace is not None and trace.wants(TeleportPerformed.kind):

@@ -65,3 +65,41 @@ class TestHeapCompaction:
         for i in range(5_000):
             timer.start(float(i % 13 + 1), lambda: None)
         assert engine.pending_events <= _COMPACT_MIN_HEAP
+
+
+class TestDetachOnDispatch:
+    """A dispatched event leaves its engine: cancelling it later is a no-op."""
+
+    def test_cancel_after_fire_does_not_count(self):
+        engine = SimulationEngine()
+        a = engine.schedule(1.0, lambda: None)
+        engine.schedule(2.0, lambda: None)
+        engine.run(until=1.5)
+        a.cancel()
+        assert a.cancelled and a.owner is None
+        assert engine.pending_events == 1
+        assert engine.cancelled_pending == 0
+        engine.run()
+        assert engine.pending_events == 0
+        assert engine.cancelled_pending == 0
+
+    def test_cancel_after_step_does_not_count(self):
+        engine = SimulationEngine()
+        a = engine.schedule(1.0, lambda: None)
+        b = engine.schedule(2.0, lambda: None)
+        assert engine.step()
+        a.cancel()
+        assert engine.cancelled_pending == 0
+        b.cancel()
+        assert engine.cancelled_pending == 1
+        assert not engine.step()
+        assert engine.cancelled_pending == 0
+
+    def test_event_cancelling_itself_while_firing(self):
+        engine = SimulationEngine()
+        events = []
+        events.append(engine.schedule(1.0, lambda: events[0].cancel()))
+        engine.schedule(2.0, lambda: None)
+        engine.run()
+        assert engine.cancelled_pending == 0
+        assert engine.processed_events == 2
