@@ -180,20 +180,7 @@ class SimulationEngine:
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when none remain."""
-        heap = self._heap
-        while heap:
-            time, _, _, event = _heappop(heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            event.owner = None
-            self._now = time
-            self._processed += 1
-            if self.trace is not None:
-                self._trace_dispatch(event)
-            event.callback()
-            return True
-        return False
+        return self._dispatch(None, 1) == 1
 
     def _trace_dispatch(self, event: Event) -> None:
         if self.trace.wants(EventDispatched.kind):
@@ -206,9 +193,13 @@ class SimulationEngine:
 
         Returns the simulated time at which the run stopped.
         """
+        self._dispatch(until, float("inf") if max_events is None else max_events)
+        return self._now
+
+    def _dispatch(self, until: Optional[float], limit: float) -> int:
+        """The event loop: execute up to ``limit`` events; returns how many ran."""
         heappop = _heappop
         trace = self.trace
-        limit = float("inf") if max_events is None else max_events
         executed = 0
         heap = self._heap
         while heap and executed < limit:
@@ -233,7 +224,7 @@ class SimulationEngine:
             # A cancellation inside the callback may have compacted the heap
             # into a new list.
             heap = self._heap
-        return self._now
+        return executed
 
     def drain(self) -> None:
         """Discard all pending events (used when aborting a simulation)."""
