@@ -178,6 +178,28 @@ class TestServiceCenter:
         assert center.stats.utilisation(engine.now) == pytest.approx(1.0)
         assert center.stats.mean_wait() == pytest.approx((0 + 5 + 10 + 15) / 4)
 
+    def test_statistics_exact_for_idle_start_and_resubmit_from_completion(self):
+        engine = SimulationEngine()
+        center = ServiceCenter(engine, 1)
+        done = []
+
+        def first_done():
+            done.append(("a", engine.now))
+            # Submitted while "b" is queued and the server is momentarily
+            # free: it must queue behind "b", not start ahead of it.
+            center.submit(4.0, lambda: done.append(("c", engine.now)))
+
+        center.submit(4.0, first_done)
+        # An immediate start still passes through a queue of length one.
+        assert center.stats.max_queue_length == 1
+        assert (center.busy, center.queue_length) == (1, 0)
+        center.submit(4.0, lambda: done.append(("b", engine.now)))
+        engine.run()
+        assert done == [("a", 4.0), ("b", 8.0), ("c", 12.0)]
+        stats = center.stats
+        assert (stats.jobs_served, stats.busy_time, stats.total_wait) == (3, 12.0, 8.0)
+        assert stats.max_queue_length == 2
+
     def test_throughput_per_us(self):
         center = ServiceCenter(SimulationEngine(), 4)
         assert center.throughput_per_us(122.0) == pytest.approx(4 / 122.0)
