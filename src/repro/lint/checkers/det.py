@@ -3,7 +3,7 @@
 Everything downstream of the simulator assumes a run is a pure function of
 its spec: golden traces diff bitwise, the verify harness replays scenarios
 expecting identical dynamics, and the result cache keys on the spec hash
-alone.  Two things silently break that purity:
+alone.  Three things silently break that purity:
 
 * **DET001** — ambient nondeterminism: wall clocks, process-seeded RNGs,
   OS entropy.  Stochastic workloads must draw from the SHA-256 named-substream
@@ -14,12 +14,16 @@ alone.  Two things silently break that purity:
   containing one), so a set-ordered loop that feeds scheduling, emission or
   accumulation order can differ between processes.  Iterate ``sorted(...)``
   or keep an insertion-ordered ``dict`` instead.
+* **DET003** — a module-scope ``itertools.count(...)``: a process-global
+  counter hands out IDs that depend on everything the process ran before,
+  so a run's output stops being a function of its own spec.  Keep counters
+  per run (an attribute of the object that owns the run).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..base import Checker, LintContext, register_checker
 from ..findings import Finding, Rule
@@ -224,9 +228,54 @@ class _ScopeVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _module_scope_statements(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements executed at import time (nested blocks, but no def/class bodies)."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield stmt
+        for block in ("body", "orelse", "finalbody"):
+            yield from _module_scope_statements(getattr(stmt, block, ()))
+        for handler in getattr(stmt, "handlers", ()):
+            yield from _module_scope_statements(handler.body)
+
+
+def _calls_outside_lambdas(node: ast.AST) -> Iterator[ast.Call]:
+    """Calls evaluated with ``node`` itself (a lambda's body runs later, per call)."""
+    if isinstance(node, ast.Lambda):
+        return
+    if isinstance(node, ast.Call):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls_outside_lambdas(child)
+
+
+def _global_counters(tree: ast.Module) -> Iterator[ast.Call]:
+    """``itertools.count(...)`` calls bound to a name at module scope."""
+    modules: Set[str] = set()  # names bound to the itertools module
+    counts: Set[str] = set()  # names bound to itertools.count
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "itertools")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "itertools":
+            counts.update(a.asname or a.name for a in node.names if a.name == "count")
+    for stmt in _module_scope_statements(tree.body):
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+            continue
+        for call in _calls_outside_lambdas(stmt.value):
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id in counts) or (
+                isinstance(func, ast.Attribute)
+                and func.attr == "count"
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+            ):
+                yield call
+
+
 @register_checker
 class DeterminismChecker(Checker):
-    """No ambient randomness or hash-ordered iteration in the sim packages."""
+    """No ambient randomness, hash-ordered iteration or global counters in the sim packages."""
 
     name = "DET"
     rules = (
@@ -244,6 +293,12 @@ class DeterminismChecker(Checker):
             "that feed scheduling or emission order must iterate sorted(...) "
             "or an insertion-ordered dict.",
         ),
+        Rule(
+            "DET003",
+            "no module-scope itertools.count(...) inside repro.sim/network/workloads/service",
+            "A process-global counter makes IDs depend on every earlier run in "
+            "the process; keep the counter on the object that owns the run.",
+        ),
     )
 
     def applies_to(self, context: LintContext) -> bool:
@@ -253,3 +308,12 @@ class DeterminismChecker(Checker):
         visitor = _ScopeVisitor(self, context)
         visitor.visit(context.tree)
         yield from visitor.findings
+        for call in _global_counters(context.tree):
+            yield self.finding(
+                context,
+                call,
+                "DET003",
+                "module-scope itertools.count(): a process-global counter makes IDs "
+                "depend on earlier runs in the process; keep a per-run counter on "
+                "the object that owns the run",
+            )

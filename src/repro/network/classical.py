@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..physics.parameters import IonTrapParameters
-from .messages import ClassicalMessage
+from .messages import ID_PACKET_BITS
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class ClassicalNetworkModel:
         """
         if min(teleports_per_second, purifications_per_second, pairs_in_flight) < 0:
             raise ConfigurationError("traffic rates must be non-negative")
-        packet_bits = ClassicalMessage().size_bits
+        packet_bits = ID_PACKET_BITS
         messages = teleports_per_second + purifications_per_second + pairs_in_flight
         bits = (
             teleports_per_second * (self.teleport_bits() + packet_bits)

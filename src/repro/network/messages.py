@@ -5,17 +5,24 @@ carrying its identity, its destination, its partner's destination and the
 cumulative correction information accumulated over chained teleportations.
 Corrections are Pauli operators, so the cumulative record is a *Pauli frame*:
 two bits (X component, Z component) that compose by XOR.
+
+The simulator never builds these packets: the control unit only counts them
+and hands each communication a contiguous range of packet IDs.
+:class:`ClassicalMessage` is the explicit model of one packet, and
+:data:`ID_PACKET_BITS` its size for bandwidth estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import count
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 
-_message_ids = count()
+#: Approximate size of an ID packet in classical bits: 32-bit ID, two 16-bit
+#: destinations, 2 correction bits and an 8-bit hop counter -- a concrete
+#: stand-in for estimating classical network bandwidth requirements.
+ID_PACKET_BITS = 32 + 16 + 16 + 2 + 8
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,11 @@ class ClassicalMessage:
 
     Attributes mirror the paper's description: the ID assigned by the G node,
     the qubit's destination, its partner's destination (needed for endpoint
-    purification pairing) and the cumulative correction frame.
+    purification pairing) and the cumulative correction frame.  The ID is
+    assigned by the caller (e.g. from a control unit's per-run ID block).
     """
 
-    qubit_id: int = field(default_factory=lambda: next(_message_ids))
+    qubit_id: int = 0
     destination: Optional[object] = None
     partner_destination: Optional[object] = None
     correction: PauliFrame = field(default_factory=PauliFrame)
@@ -86,10 +94,5 @@ class ClassicalMessage:
 
     @property
     def size_bits(self) -> int:
-        """Approximate size of the packet in classical bits.
-
-        32-bit ID, two 16-bit destinations, 2 correction bits and an 8-bit hop
-        counter — a concrete stand-in for estimating classical network
-        bandwidth requirements.
-        """
-        return 32 + 16 + 16 + 2 + 8
+        """Approximate size of the packet in classical bits (:data:`ID_PACKET_BITS`)."""
+        return ID_PACKET_BITS

@@ -13,15 +13,12 @@ accumulated movement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import count
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .fidelity import validate_fidelity
 from .parameters import IonTrapParameters
 from .states import BellDiagonalState
-
-_pair_ids = count()
 
 
 def generation_fidelity(
@@ -62,8 +59,8 @@ class EPRPair:
     state:
         Current Bell-diagonal state of the pair.
     pair_id:
-        Monotonically increasing identifier assigned at generation; mirrors the
-        classical ID packet the paper's G-node control attaches to each pair.
+        Identifier assigned by the caller at generation; mirrors the classical
+        ID packet the paper's G-node control attaches to each pair.
     generator:
         Optional label of the generator node that produced the pair.
     left_location / right_location:
@@ -77,7 +74,7 @@ class EPRPair:
     """
 
     state: BellDiagonalState
-    pair_id: int = field(default_factory=lambda: next(_pair_ids))
+    pair_id: int = 0
     generator: Optional[str] = None
     left_location: Optional[str] = None
     right_location: Optional[str] = None
@@ -133,8 +130,9 @@ def generate_pair(
     *,
     generator: Optional[str] = None,
     zero_prep_fidelity: Optional[float] = None,
+    pair_id: int = 0,
 ) -> EPRPair:
-    """Generate a fresh :class:`EPRPair` at a G node."""
+    """Generate a fresh :class:`EPRPair` with ID ``pair_id`` at a G node."""
     params = params or IonTrapParameters.default()
     state = generation_state(params, zero_prep_fidelity)
-    return EPRPair(state=state, generator=generator, left_location=generator, right_location=generator)
+    return EPRPair(state=state, pair_id=pair_id, generator=generator, left_location=generator, right_location=generator)

@@ -3,8 +3,11 @@
 The control unit sits between the scheduler and the transport backends: it
 translates a two-logical-qubit operation into the long-distance communications
 the machine layout requires, plans each one on the mesh (path, seed generator,
-budget) and produces the classical messages that will accompany the EPR
-qubits.  It tracks logical qubit positions through the layout object.
+budget) and accounts for the classical ID packets that accompany the EPR
+qubits.  Only the number of packets feeds the classical-network bandwidth
+argument, so packets are counted, not built: each communication is handed a
+contiguous block of per-run packet IDs.  It tracks logical qubit positions
+through the layout object.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from typing import List, Optional
 
 from ..core.planner import ChannelPlan
 from ..network.layout import CommRequest
-from ..network.messages import ClassicalMessage
 from ..workloads.instructions import TwoQubitOp
 from .machine import QuantumMachine
 
@@ -40,12 +42,12 @@ class ControlUnit:
 
     def __init__(self, machine: QuantumMachine) -> None:
         self.machine = machine
-        self._message_log: List[ClassicalMessage] = []
+        self._messages_issued = 0
 
     def reset(self) -> None:
-        """Reset logical qubit positions (start of a new program)."""
+        """Reset logical qubit positions and packet IDs (start of a new program)."""
         self.machine.layout.reset()
-        self._message_log.clear()
+        self._messages_issued = 0
 
     def plan_operation(self, op: TwoQubitOp) -> List[PlannedCommunication]:
         """Plan every long-distance communication an operation requires.
@@ -64,26 +66,20 @@ class ControlUnit:
             planned.append(PlannedCommunication(request=request, plan=plan))
         return planned
 
-    def issue_messages(self, planned: PlannedCommunication) -> List[ClassicalMessage]:
-        """Create the ID packets that accompany a communication's EPR qubits.
+    def issue_messages(self, planned: PlannedCommunication) -> range:
+        """Assign the ID packets that accompany a communication's EPR qubits.
 
-        One message per good pair that must reach the endpoints; the message
+        One packet per good pair that must reach the endpoints; the packet
         count is what the classical-network bandwidth estimate is based on.
+        Returns the block of packet IDs assigned (empty for a local
+        communication); IDs restart at 0 on :meth:`reset`.
         """
-        if planned.plan is None:
-            return []
-        good_pairs = self.machine.good_pairs_per_logical_communication()
-        messages = [
-            ClassicalMessage(
-                destination=planned.request.dest.as_tuple(),
-                partner_destination=planned.request.source.as_tuple(),
-            )
-            for _ in range(good_pairs)
-        ]
-        self._message_log.extend(messages)
-        return messages
+        first = self._messages_issued
+        if planned.plan is not None:
+            self._messages_issued += self.machine.good_pairs_per_logical_communication()
+        return range(first, self._messages_issued)
 
     @property
     def messages_issued(self) -> int:
         """Total ID packets issued since the last reset."""
-        return len(self._message_log)
+        return self._messages_issued

@@ -99,6 +99,58 @@ def test_det002_tracks_annotated_self_attributes_across_methods():
     assert rule_ids(findings) == ["DET002"]
 
 
+def test_det003_flags_module_scope_counters_in_both_import_forms():
+    findings = lint_source(
+        """
+        import itertools
+        from dataclasses import field
+        from itertools import count as ids
+
+        _message_ids = itertools.count()
+        _next_pair_id = ids(1).__next__
+        if True:
+            _nested = itertools.count(start=5)
+
+        def make_field():
+            return field(default_factory=lambda: next(_message_ids))
+        """,
+        module="repro.network.messages",
+    )
+    assert rule_ids(findings) == ["DET003", "DET003", "DET003"]
+
+
+def test_det003_clean_on_per_run_counters():
+    findings = lint_source(
+        """
+        import itertools
+        from itertools import count
+
+        class ControlUnit:
+            _shared = None
+
+            def __init__(self):
+                self._ids = count()
+                self._sequence = itertools.count()
+
+        def fresh_ids():
+            return itertools.count()
+
+        make_ids = lambda: count()
+        total = sum([1, 2]).bit_count()
+        """,
+        module="repro.sim.control",
+    )
+    assert findings == []
+
+
+def test_det003_does_not_apply_outside_the_sim_packages():
+    findings = lint_source(
+        "import itertools\n_ids = itertools.count()\n",
+        module="repro.runtime.queue",
+    )
+    assert findings == []
+
+
 def test_det_clean_on_sorted_iteration_and_substream_rng():
     findings = lint_source(
         """

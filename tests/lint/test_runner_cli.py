@@ -128,7 +128,7 @@ def test_cli_json_output_matches_the_schema(tmp_path, capsys):
 def test_cli_list_rules_documents_the_catalogue(capsys):
     assert lint_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "TRC004", "SPEC001", "FLT002", "API001", "LNT001"):
+    for rule_id in ("DET001", "DET002", "DET003", "TRC004", "SPEC001", "FLT002", "API001", "LNT001"):
         assert rule_id in out
 
 

@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.network.classical import ClassicalNetworkModel
 from repro.network.geometry import Coordinate
 from repro.network.layout import HomeBaseLayout, MobileQubitLayout, build_layout
-from repro.network.messages import ClassicalMessage, PauliFrame
+from repro.network.messages import ID_PACKET_BITS, ClassicalMessage, PauliFrame
 from repro.network.topology import square_mesh
 from repro.physics.parameters import IonTrapParameters
 
@@ -35,8 +35,11 @@ class TestPauliFrame:
 
 
 class TestClassicalMessage:
-    def test_unique_ids(self):
-        assert ClassicalMessage().qubit_id != ClassicalMessage().qubit_id
+    def test_qubit_id_is_caller_assigned(self):
+        # No hidden process-global counter: the ID is what the caller gives.
+        assert ClassicalMessage().qubit_id == ClassicalMessage().qubit_id == 0
+        message = ClassicalMessage(qubit_id=7).advanced(1, 0).retargeted((1, 2), (3, 4))
+        assert message.qubit_id == 7
 
     def test_advanced_accumulates_corrections_and_hops(self):
         message = ClassicalMessage().advanced(1, 0).advanced(0, 1)
@@ -49,7 +52,7 @@ class TestClassicalMessage:
         assert message.partner_destination == (3, 4)
 
     def test_size_bits_constant(self):
-        assert ClassicalMessage().size_bits == 74
+        assert ClassicalMessage().size_bits == ID_PACKET_BITS == 74
 
 
 class TestClassicalNetworkModel:
@@ -65,7 +68,8 @@ class TestClassicalNetworkModel:
         model = ClassicalNetworkModel()
         estimate = model.estimate_traffic(100.0, 50.0, 1000.0)
         assert estimate.messages_per_second == pytest.approx(1150.0)
-        assert estimate.bits_per_second > 0
+        # teleports carry 2 bits + a packet, purifications 2 bits, pairs a packet
+        assert estimate.bits_per_second == pytest.approx(100 * (2 + 74) + 50 * 2 + 1000 * 74)
         assert "in-flight" in estimate.describe()
 
     def test_rejects_negative_rates(self):

@@ -28,9 +28,12 @@ class TestGeneration:
 
 
 class TestEPRPair:
-    def test_generate_pair_has_unique_ids(self):
-        a, b = generate_pair(), generate_pair()
-        assert a.pair_id != b.pair_id
+    def test_generate_pair_takes_explicit_id(self):
+        # No hidden process-global counter: the ID is what the caller gives.
+        assert generate_pair().pair_id == generate_pair().pair_id == 0
+        pair = generate_pair(pair_id=41)
+        assert pair.pair_id == 41
+        assert pair.after_move(10).after_teleport_hop(pair.state).pair_id == 41
 
     def test_after_move_accumulates_distance_and_error(self):
         pair = generate_pair()
