@@ -84,18 +84,20 @@ def _schedule_all(machine, engine, transport, pairs):
 
 
 def _start_storm(allocator, pairs):
-    """Dispatch exactly the ``len(pairs)`` start events; return wall + state.
+    """Dispatch exactly the ``len(pairs)`` start instants; return wall + state.
 
-    The storm is the allocator-bound regime: every start triggers a full
-    reallocation over all flows admitted so far.  State is captured as the
-    exact per-flow rate map and per-resource load map for bitwise comparison.
+    The storm is the allocator-bound regime: starts are 1 us apart, so each
+    is its own instant, and each instant is two events — the start and the
+    deferred reallocation over all flows admitted so far.  State is captured
+    as the exact per-flow rate map and per-resource load map for bitwise
+    comparison.
     """
     machine = build_machine(_contention_spec())
     engine = SimulationEngine()
     transport = FlowTransport(engine, machine, allocator=allocator)
     _schedule_all(machine, engine, transport, pairs)
     start = time.perf_counter()
-    for _ in range(len(pairs)):
+    for _ in range(2 * len(pairs)):
         assert engine.step()
     wall = time.perf_counter() - start
     rates = {flow_id: flow.rate for flow_id, flow in transport._flows.items()}

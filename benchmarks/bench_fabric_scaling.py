@@ -4,15 +4,17 @@
 concurrent flows on a flat mesh.  The big-fabric library multiplies both
 axes: a k=16 fat tree has 1024 hosts and 1344 nodes, ECMP spreads every
 cross-pod flow over 64 equal-cost six-hop candidates, and a realistic storm
-holds 10,000 flows in flight at once.  At that depth a *full* start storm is
-allocator-bound in either implementation (every start reallocates over all
-admitted flows), so this benchmark separates the two costs:
+holds 10,000 flows in flight at once.  The transport reallocates once per
+simulated instant, so a storm of 10k starts at one instant costs one
+progressive filling, not 10k.  This benchmark times two things:
 
-* **admission** — 10k flows are admitted through the real transport path
-  (balancer choice, route bookkeeping, demand construction) with the
-  per-start reallocation stubbed out, reaching exactly 10k concurrent flows;
+* **the storm, end to end** — 10k flows are admitted at one instant through
+  the real ``start()`` (balancer choice, route bookkeeping, demand
+  construction, pack insertion), then one engine step runs the instant's
+  single deferred reallocation over all of them.  Admission plus that first
+  allocation must finish within ``STORM_WALL_BOUND_S``;
 * **reallocation at depth** — the progressive-filling kernel is then timed
-  at the full 10k-flow incidence, where the gate holds: the vectorized
+  again at the full 10k-flow incidence, where the gate holds: the vectorized
   allocator is **>=5x** faster than incremental (measured ~8x), and the two
   produce **bitwise**-identical per-flow rates and per-resource loads.
 
@@ -53,6 +55,12 @@ REALLOC_REPS = 3
 
 REQUIRED_VECTORIZED_SPEEDUP = 5.0
 
+#: Absolute bound on the storm wall (admission + first allocation), either
+#: allocator.  Measured 13.4 s incremental / 11.6 s vectorized on a 2-vCPU
+#: 2.1 GHz Xeon VM, where admission dominates (fat-tree path enumeration);
+#: the bound leaves ~2.2x headroom for slower runners.
+STORM_WALL_BOUND_S = 30.0
+
 #: Policy-ordering scale: the fattree_smoke machine (k=4, 16 hosts).
 POLICY_MAKESPAN_TOL = 0.05
 
@@ -78,18 +86,18 @@ def _random_host_pairs(machine, count, seed=PAIR_SEED):
 
 
 def _admit_storm(allocator, count=FLOW_COUNT):
-    """Admit ``count`` concurrent flows without intermediate reallocations.
+    """Start ``count`` flows at one instant, then run its one reallocation.
 
-    The transport's real admission path runs — ECMP candidate enumeration
-    and choice, per-link flow bookkeeping, demand-vector construction, pack
-    insertion — but the per-start rate recomputation (the quantity under
-    test) is stubbed to a no-op until the storm is fully admitted.
+    Every start goes through the real transport path — ECMP candidate
+    enumeration and choice, per-link flow bookkeeping, demand-vector
+    construction, pack insertion — and only marks the transport dirty.  The
+    first engine event is then the instant's deferred reallocation over all
+    ``count`` flows.  Returns the transport and the wall of both together.
     """
     machine = _fabric_machine()
     pairs = _random_host_pairs(machine, count)
     engine = SimulationEngine()
     transport = FlowTransport(engine, machine, allocator=allocator)
-    transport._reallocate = lambda: None  # shadow during admission only
     start = time.perf_counter()
     for qubit, (source, dest) in enumerate(pairs):
         plan = machine.planner.plan(source, dest)
@@ -97,9 +105,12 @@ def _admit_storm(allocator, count=FLOW_COUNT):
             request=CommRequest(source=source, dest=dest, qubit=qubit), plan=plan
         )
         transport.start(planned, lambda: None)
-    admit_wall = time.perf_counter() - start
-    del transport._reallocate  # restore the real method
-    return transport, admit_wall
+    assert engine.step()
+    storm_wall = time.perf_counter() - start
+    # Exactly one event ran, and it was the one reallocation: rates are set.
+    assert engine.processed_events == 1 and engine.now == 0.0
+    assert transport.resource_loads()
+    return transport, storm_wall
 
 
 def _time_reallocation(transport, reps=REALLOC_REPS):
@@ -120,20 +131,20 @@ def _flow_rates(transport):
 def test_vectorized_speedup_at_10k_flows_on_1024_host_fat_tree():
     walls = {}
     states = {}
-    admits = {}
+    storms = {}
     for allocator in ("incremental", "vectorized"):
-        transport, admit_wall = _admit_storm(allocator)
+        transport, storm_wall = _admit_storm(allocator)
         assert transport.active_flows == FLOW_COUNT
         # The balancer really routed: per-link flow counts cover the fabric.
         assert transport._link_flows and max(transport._link_flows.values()) > 1
-        admits[allocator] = admit_wall
-        walls[allocator] = _time_reallocation(transport)
+        storms[allocator] = storm_wall
         states[allocator] = (_flow_rates(transport), transport.resource_loads())
+        walls[allocator] = _time_reallocation(transport)
     speedup = walls["incremental"] / walls["vectorized"]
     print(
         f"\n10k-flow reallocation (k={FAT_TREE_ARITY} fat tree, 1024 hosts, 2/2/1):\n"
-        f"  admission  : {admits['incremental']:6.2f}s / {admits['vectorized']:6.2f}s"
-        f" (incremental / vectorized)\n"
+        f"  storm      : {storms['incremental']:6.2f}s / {storms['vectorized']:6.2f}s"
+        f" (incremental / vectorized; admission + first allocation)\n"
         f"  incremental: {walls['incremental']:6.3f}s per reallocation\n"
         f"  vectorized : {walls['vectorized']:6.3f}s per reallocation\n"
         f"  speedup    : {speedup:6.1f}x"
@@ -142,6 +153,8 @@ def test_vectorized_speedup_at_10k_flows_on_1024_host_fat_tree():
     assert states["vectorized"][0] == states["incremental"][0]
     assert states["vectorized"][1] == states["incremental"][1]
     assert speedup >= REQUIRED_VECTORIZED_SPEEDUP
+    for allocator, storm_wall in storms.items():
+        assert storm_wall <= STORM_WALL_BOUND_S, (allocator, storm_wall)
     _maybe_emit(walls, speedup, _policy_makespans_cached())
 
 

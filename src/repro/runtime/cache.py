@@ -25,7 +25,11 @@ from typing import Any, Iterator, Optional
 #: the key-coercion collision where dict keys were canonicalised through
 #: ``str(k)`` (so ``{1: x}`` and ``{"1": x}`` shared a slot); keys now carry
 #: a type tag, which legitimately invalidates all version-1 entries.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3: the fluid transport reallocates once per simulated instant, so
+#: cached results hold utilisation floats whose last bits differ from fresh
+#: runs (the per-kind rate sums accumulate in a different order); they must
+#: not mix with fresh ones.
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

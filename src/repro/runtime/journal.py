@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Iterator, List, Optional
+from typing import IO, Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
 
@@ -242,13 +242,6 @@ def read_journal(path: str) -> JournalState:
     if not os.path.exists(path):
         raise ConfigurationError(f"no sweep journal at {path!r}")
     return _read_state(path)
-
-
-def iter_ok_results(path: str) -> Iterator[Any]:
-    """Yield the result of every successfully completed point, in key order."""
-    state = read_journal(path)
-    for key in sorted(state.ok_points):
-        yield state.ok_points[key].result
 
 
 def journal_status(path: str) -> Dict[str, Any]:

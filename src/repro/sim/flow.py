@@ -44,18 +44,32 @@ Three allocators are available:
   to stay bitwise identical to the other two allocators.  It also collapses
   the per-flow completion events into a single chained next-completion event
   (the event-loop compaction for the reallocate/complete storm): every
-  reallocation recomputes each flow's finish time exactly as
+  reallocation recomputes and stores each flow's finish time exactly as
   ``_schedule_completion`` would, takes the argmin (ties resolve to the
   lowest flow id, which is also the event-priority order the per-flow heap
   uses), and keeps one pending event instead of N.
 * ``reference`` recomputes every rate by scanning every flow for every
-  resource on every event (the original seed behaviour).  It is kept as the
-  oracle the benchmarks and property tests compare the fast allocators
-  against.
+  resource on every reallocation (the original seed behaviour).  It is kept
+  as the oracle the benchmarks and property tests compare the fast
+  allocators against.
+
+Reallocation is deferred to the end of the simulated instant.  ``start`` and
+a completion only mark the transport dirty; the first mark at an instant
+schedules one engine event at ``now`` with priority
+``_REALLOCATE_PRIORITY``, above every completion priority (``1 + flow_id``),
+so it runs after all of the instant's completions and starts and a storm of
+N starts costs one progressive filling instead of N.  This is exact: rates
+are a pure function of the flow set, no rate is read before the instant
+ends (load balancers read per-link flow *counts*), and with zero elapsed
+time the skipped intermediate rates would have moved no work.  Between the
+mark and the reallocation, pending completions keep the finish times fixed
+at the last reallocation — the per-flow heap holds them as events, and the
+chained mode re-arms from the finish times the pack stored then.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
@@ -92,6 +106,10 @@ _SATURATION_EPS = 1e-12
 #: tighter ``_SATURATION_EPS`` — so a flow with residue in between scheduled
 #: an immediate event that no-op'd and was left stalled.)
 _COMPLETION_EPS = 1e-9
+#: Priority of the deferred per-instant reallocation event: above every
+#: completion priority (``1 + flow_id``), so it fires after the instant's
+#: completions and the starts they trigger.
+_REALLOCATE_PRIORITY = sys.maxsize
 
 
 @dataclass
@@ -162,6 +180,8 @@ class FlowTransport(TransportBackend):
         self._seen_keys: Set[ResourceKey] = set()
         self._pack: Optional["FlowPack"] = None
         self._next_completion: Optional[Event] = None
+        #: The pending end-of-instant reallocation, if the flow set changed.
+        self._realloc_event: Optional[Event] = None
         #: Flows whose chained completion fired but no-op'd since the last
         #: reallocation (mirrors the per-flow heap, where a fired event is
         #: spent until the next reallocation re-schedules it).
@@ -217,7 +237,7 @@ class FlowTransport(TransportBackend):
                 start_us=flow.start_us,
                 floor_us=flow.floor_us,
             )
-        self._reallocate()
+        self._mark_dirty()
 
     def utilisation_report(self, elapsed_us: float, *, clamp: bool = True) -> Dict[str, float]:
         """Average utilisation per resource *class* over ``elapsed_us``.
@@ -364,8 +384,23 @@ class FlowTransport(TransportBackend):
                         )
         self._last_update = now
 
+    def _mark_dirty(self) -> None:
+        """Schedule the instant's single reallocation unless one is pending."""
+        if self._realloc_event is None:
+            self._realloc_event = self.engine.schedule_at(
+                self.engine.now, self._reallocate, priority=_REALLOCATE_PRIORITY
+            )
+
     def _reallocate(self) -> None:
-        """Recompute max-min fair rates and reschedule completion events."""
+        """Recompute max-min fair rates and reschedule completion events.
+
+        Normally run by the deferred end-of-instant event; a direct call
+        flushes it, cancelling the pending event.
+        """
+        event = self._realloc_event
+        if event is not None:
+            self._realloc_event = None
+            event.cancel()
         if self._pack is not None:
             self._reallocate_vectorized()
             return
@@ -408,23 +443,21 @@ class FlowTransport(TransportBackend):
             for flow_id, rate in changes:
                 trace.emit(FlowRateChanged(t_us=now, flow_id=flow_id, rate=rate))
         self._kind_rate_sum = pack.kind_rate_sums()
+        pack.set_finish_times(self.engine.now, _COMPLETION_EPS)
         self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:
         """Keep exactly one pending completion event: the earliest one.
 
-        Ties resolve to the lowest flow id — the same order the per-flow
-        heap's ``1 + flow_id`` priorities impose — and completing that flow
-        triggers a reallocation that re-arms the chain, so simultaneous
-        completions still fire one by one in identical order.
+        The pick is over the finish times stored at the last reallocation,
+        which is what the per-flow heap would fire.  Ties resolve to the
+        lowest flow id — the same order the per-flow heap's ``1 + flow_id``
+        priorities impose — and each completion re-arms the chain, so
+        simultaneous completions still fire one by one in identical order.
         """
         pack = self._pack
         assert pack is not None
-        nxt = pack.next_completion(
-            self.engine.now,
-            _COMPLETION_EPS,
-            exclude_flow_ids=self._spent_completions or None,
-        )
+        nxt = pack.next_completion(exclude_flow_ids=self._spent_completions or None)
         event = self._next_completion
         if nxt is None:
             if event is not None:
@@ -626,6 +659,9 @@ class FlowTransport(TransportBackend):
         del self._flows[flow.flow_id]
         if self._pack is not None:
             self._pack.remove_flow(flow.flow_id)
+            # Flows finishing later in this instant fire before the deferred
+            # reallocation, as their per-flow events would.
+            self._schedule_next_completion()
         for key in flow.demands:
             if self._incremental:
                 work = flow.demands[key]
@@ -643,4 +679,4 @@ class FlowTransport(TransportBackend):
             pairs_transited=flow.pairs_transited,
         )
         flow.done(flow)
-        self._reallocate()
+        self._mark_dirty()

@@ -11,9 +11,10 @@ CSR-style numpy index arrays instead of per-flow Python dicts:
     entries in flow-id order, exactly the order ``_max_min_rates`` walks its
     member dicts.
 ``row_*``
-    Per-flow state (``remaining``, ``rate``, ``start_us``, ``floor_us``) as
-    float64 arrays.  In vectorized mode these arrays are authoritative; the
-    ``ChannelFlow`` objects' scalar fields are not advanced.
+    Per-flow state (``remaining``, ``rate``, ``start_us``, ``floor_us`` and
+    the ``finish`` time fixed at the last reallocation) as float64 arrays.
+    In vectorized mode these arrays are authoritative; the ``ChannelFlow``
+    objects' scalar fields are not advanced.
 ``col_*``
     Interned resource keys with per-column capacity.  Columns are never
     re-numbered while referenced (their count is bounded by the topology);
@@ -83,6 +84,7 @@ class FlowPack:
         self._rate = np.zeros(0, dtype=np.float64)
         self._start_us = np.zeros(0, dtype=np.float64)
         self._floor_us = np.zeros(0, dtype=np.float64)
+        self._finish = np.zeros(0, dtype=np.float64)
         self._row_kind_work = np.zeros((0, len(self.kinds)), dtype=np.float64)
         # Entries: flow-major (row, col, work) triples.
         self.n_entries = 0
@@ -125,6 +127,7 @@ class FlowPack:
             "rate": self._rate[:n].copy(),
             "start_us": self._start_us[:n].copy(),
             "floor_us": self._floor_us[:n].copy(),
+            "finish": self._finish[:n].copy(),
             "row_kind_work": self._row_kind_work[:n].copy(),
             "entry_row": self._entry_row[:e].copy(),
             "entry_col": self._entry_col[:e].copy(),
@@ -165,6 +168,7 @@ class FlowPack:
         self._rate = _grown(self._rate, needed)
         self._start_us = _grown(self._start_us, needed)
         self._floor_us = _grown(self._floor_us, needed)
+        self._finish = _grown(self._finish, needed)
         self._row_kind_work = _grown(self._row_kind_work, needed)
         self._row_flow_id[row] = flow_id
         self._row_active[row] = True
@@ -172,6 +176,7 @@ class FlowPack:
         self._rate[row] = 0.0
         self._start_us[row] = start_us
         self._floor_us[row] = floor_us
+        self._finish[row] = np.inf
         self._row_kind_work[row] = 0.0
         base = self.n_entries
         needed_entries = base + len(demands)
@@ -205,6 +210,7 @@ class FlowPack:
         self._row_active[row] = False
         self._rate[row] = 0.0
         self._remaining[row] = 0.0
+        self._finish[row] = np.inf
         self._dead_rows += 1
         if self._dead_rows * 2 > self.n_rows and self.n_rows >= _COMPACT_MIN_ROWS:
             self.compact()
@@ -253,6 +259,7 @@ class FlowPack:
         self._rate = self._rate[:n][live].copy()
         self._start_us = self._start_us[:n][live].copy()
         self._floor_us = self._floor_us[:n][live].copy()
+        self._finish = self._finish[:n][live].copy()
         self._row_kind_work = self._row_kind_work[:n][live].copy()
         self.n_rows = old_rows.shape[0]
         self._dead_rows = 0
@@ -274,7 +281,9 @@ class FlowPack:
                 start_us=float(self._start_us[row]),
                 floor_us=float(self._floor_us[row]),
             )
-            pack._rate[pack._row_of_flow[flow_id]] = self._rate[row]
+            new_row = pack._row_of_flow[flow_id]
+            pack._rate[new_row] = self._rate[row]
+            pack._finish[new_row] = self._finish[row]
         return pack
 
     # ------------------------------------------------------------------
@@ -390,27 +399,16 @@ class FlowPack:
             if sums[col] > 0.0
         }
 
-    def next_completion(
-        self,
-        now: float,
-        completion_eps: float,
-        *,
-        exclude_flow_ids: Optional[Iterable[int]] = None,
-    ) -> Optional[Tuple[int, float]]:
-        """Earliest completion as ``(flow_id, finish_time)``, or None.
+    def set_finish_times(self, now: float, completion_eps: float) -> None:
+        """Fix every live row's finish time from the current rates.
 
         Per live row, bitwise-identical to ``_schedule_completion``:
         ``remaining <= eps`` finishes now; ``rate <= 0`` is stalled (inf);
         otherwise ``now + remaining / rate``; all clamped to the channel
-        floor.  ``argmin`` ties resolve to the lowest row index, i.e. the
-        lowest flow id — and the completion chain re-arms after each event,
-        so tied flows still fire one by one in flow-id (priority) order.
-        ``exclude_flow_ids`` masks flows whose (virtual) completion event is
-        spent until the next reallocation.
+        floor.  Called once per reallocation; rows added since stay at inf
+        (no completion is armed before their first rate).
         """
         n = self.n_rows
-        if not n:
-            return None
         remaining = self._remaining[:n]
         rate = self._rate[:n]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -418,8 +416,31 @@ class FlowPack:
         finish = np.where(remaining <= completion_eps, now, finish)
         finish = np.where((rate <= 0.0) & (remaining > completion_eps), np.inf, finish)
         finish = np.maximum(finish, self._start_us[:n] + self._floor_us[:n])
-        finish = np.where(self._row_active[:n], finish, np.inf)
+        self._finish[:n] = np.where(self._row_active[:n], finish, np.inf)
+
+    def next_completion(
+        self, *, exclude_flow_ids: Optional[Iterable[int]] = None
+    ) -> Optional[Tuple[int, float]]:
+        """Earliest completion as ``(flow_id, finish_time)``, or None.
+
+        Reads the finish times *stored* by :meth:`set_finish_times` at the
+        last reallocation, never ones recomputed from the current
+        ``remaining``: between a completion and the instant's deferred
+        reallocation the per-flow heap fires exactly those stored times, and
+        a recomputation can round a nearly-done flow onto ``now`` (or off
+        it), firing a completion the heap would not.  ``argmin`` ties
+        resolve to the lowest row index, i.e. the lowest flow id — and the
+        completion chain re-arms after each event, so tied flows still fire
+        one by one in flow-id (priority) order.  ``exclude_flow_ids`` masks
+        flows whose (virtual) completion event is spent until the next
+        reallocation.
+        """
+        n = self.n_rows
+        if not n:
+            return None
+        finish = self._finish[:n]
         if exclude_flow_ids is not None:
+            finish = finish.copy()
             for flow_id in exclude_flow_ids:
                 row = self._row_of_flow.get(flow_id)
                 if row is not None:

@@ -36,30 +36,6 @@ def seconds(value: float) -> float:
     return float(value) * US_PER_S
 
 
-def us_to_ms(value_us: float) -> float:
-    """Convert microseconds to milliseconds."""
-    return float(value_us) / US_PER_MS
-
-
-def us_to_s(value_us: float) -> float:
-    """Convert microseconds to seconds."""
-    return float(value_us) / US_PER_S
-
-
-def hops_to_cells(hops: float, cells_per_hop: int = DEFAULT_CELLS_PER_HOP) -> float:
-    """Convert a distance in teleportation hops to ballistic cells."""
-    if cells_per_hop <= 0:
-        raise ConfigurationError(f"cells_per_hop must be positive, got {cells_per_hop}")
-    return float(hops) * float(cells_per_hop)
-
-
-def cells_to_hops(cells: float, cells_per_hop: int = DEFAULT_CELLS_PER_HOP) -> float:
-    """Convert a distance in ballistic cells to teleportation hops."""
-    if cells_per_hop <= 0:
-        raise ConfigurationError(f"cells_per_hop must be positive, got {cells_per_hop}")
-    return float(cells) / float(cells_per_hop)
-
-
 def format_duration(value_us: float) -> str:
     """Render a duration with a human-friendly unit.
 
