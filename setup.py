@@ -1,10 +1,16 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install -e .`` (or ``pip install .``).
 
-The project is fully described by ``pyproject.toml``; this file exists so that
-``pip install -e . --no-use-pep517`` works on minimal environments that lack
-the ``wheel`` package (PEP 660 editable installs require it).
+The code lives under ``src/repro`` and has no required runtime dependency.
+Two extras pull in optional packages: ``vectorized`` (numpy, for the
+vectorized allocator) and ``yaml`` (pyyaml, for YAML scenario files).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    extras_require={"vectorized": ["numpy"], "yaml": ["pyyaml"]},
+)

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import ConfigurationError, RoutingError
 from .geometry import Coordinate
 from .nodes import ResourceAllocation
@@ -75,7 +73,7 @@ class HierarchicalTopology(MeshTopology):
     # -- structure ------------------------------------------------------------
 
     def _add_node(self, coord: Coordinate) -> None:
-        self._graph.add_node(coord)
+        self._adj[coord] = {}
         self._ordered_nodes.append(coord)
 
     @property
@@ -92,7 +90,7 @@ class HierarchicalTopology(MeshTopology):
         return iter(self._ordered_nodes)
 
     def contains(self, coord: Coordinate) -> bool:
-        return coord in self._graph
+        return coord in self._adj
 
     def host(self, index: int) -> Coordinate:
         """The ``index``-th host (0-based), i.e. LQ site ``index``."""
@@ -118,7 +116,7 @@ class HierarchicalTopology(MeshTopology):
         key = (a, b) if (a.x, a.y) <= (b.x, b.y) else (b, a)
         cached = self._hop_cache.get(key)
         if cached is None:
-            cached = nx.shortest_path_length(self._graph, key[0], key[1])
+            cached = len(self._bfs_path(key[0], key[1])) - 1
             self._hop_cache[key] = cached
         return cached
 
@@ -139,8 +137,7 @@ class HierarchicalTopology(MeshTopology):
         if source == destination:
             raise RoutingError(f"no path needed from {source} to itself")
         if not (self.is_host(source) and self.is_host(destination)):
-            nodes = nx.shortest_path(self._graph, source, destination)
-            return (self._path(nodes),)
+            return (self._path(self._bfs_path(source, destination)),)
         minimal = self._minimal_paths(source, destination)
         return tuple(minimal) + tuple(self._nonminimal_paths(source, destination))
 

@@ -2,9 +2,9 @@
 
 A ``width x height`` mesh of T' nodes, with a G node on every link between
 adjacent T' nodes (the virtual wires) and a purifier/corrector/logical-qubit
-cluster attached to every T' node.  The topology is backed by a
-:class:`networkx.Graph` so standard graph algorithms (connectivity checks,
-shortest paths for validation, bisection estimates) are available, while the
+cluster attached to every T' node.  The topology keeps an adjacency dict
+(node -> neighbour -> link, in insertion order) for link lookups, a
+bidirectional BFS for shortest paths and a connectivity check, while the
 routing used by the paper — dimension order — lives in
 :mod:`repro.network.routing`.
 
@@ -20,9 +20,7 @@ way around.  The named fabric constructors live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..errors import ConfigurationError, RoutingError
 from .geometry import Coordinate, iter_grid, manhattan_distance
@@ -133,13 +131,13 @@ class MeshTopology:
         # nodes the "long way around" already is the direct link.
         self.wrap_x = wrap_x and width >= 3
         self.wrap_y = wrap_y and height >= 3
-        self._graph = nx.Graph()
+        self._adj: Dict[Coordinate, Dict[Coordinate, LinkId]] = {}
         self._links: Dict[LinkId, None] = {}
         self._build()
 
     def _build(self) -> None:
         for coord in iter_grid(self.width, self.height):
-            self._graph.add_node(coord)
+            self._adj[coord] = {}
         for coord in iter_grid(self.width, self.height):
             for neighbour in coord.neighbours(self.width, self.height):
                 if coord < neighbour:
@@ -162,15 +160,11 @@ class MeshTopology:
                 f"link {link.stable_name} is already registered; "
                 "one physical wire must not be added twice"
             )
-        self._graph.add_edge(a, b, link=link)
+        self._adj[a][b] = link
+        self._adj[b][a] = link
         self._links[link] = None
 
     # -- structure ------------------------------------------------------------
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (nodes are :class:`Coordinate`)."""
-        return self._graph
 
     @property
     def node_count(self) -> int:
@@ -206,12 +200,13 @@ class MeshTopology:
         return coord
 
     def are_adjacent(self, a: Coordinate, b: Coordinate) -> bool:
-        return self._graph.has_edge(a, b)
+        return b in self._adj.get(a, {})
 
     def link_between(self, a: Coordinate, b: Coordinate) -> LinkId:
-        if not self.are_adjacent(a, b):
+        link = self._adj.get(a, {}).get(b)
+        if link is None:
             raise RoutingError(f"no link between {a} and {b}")
-        return self._graph.edges[a, b]["link"]
+        return link
 
     # -- distances ----------------------------------------------------------------
 
@@ -282,10 +277,60 @@ class MeshTopology:
         """Graph-theoretic shortest path length (equals :meth:`hop_distance`)."""
         self.validate_node(a)
         self.validate_node(b)
-        return nx.shortest_path_length(self._graph, a, b)
+        return len(self._bfs_path(a, b)) - 1
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self._graph)
+        """True when a BFS from the first node reaches every node."""
+        start = next(iter(self._adj))
+        reached = [start]
+        seen = {start}
+        for node in reached:
+            for neighbour in self._adj[node]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    reached.append(neighbour)
+        return len(reached) == len(self._adj)
+
+    def _bfs_path(self, source: Coordinate, target: Coordinate) -> List[Coordinate]:
+        """A shortest path by bidirectional BFS (networkx's algorithm).
+
+        Which of several equal-length paths comes back is part of the routing
+        contract: it fixes switch-endpoint routes on the hierarchical fabrics.
+        So the search follows networkx's ``bidirectional_shortest_path`` step
+        for step: the side with the smaller fringe expands a whole level next
+        (forward on a tie), neighbours come in insertion order, and the search
+        stops at the first node both sides have reached.
+        """
+        if source == target:
+            return [source]
+        pred: Dict[Coordinate, Optional[Coordinate]] = {source: None}
+        succ: Dict[Coordinate, Optional[Coordinate]] = {target: None}
+        forward, reverse = [source], [target]
+        while forward and reverse:
+            expand_forward = len(forward) <= len(reverse)
+            level, seen, other = (forward, pred, succ) if expand_forward else (reverse, succ, pred)
+            fringe: List[Coordinate] = []
+            for node in level:
+                for neighbour in self._adj[node]:
+                    if neighbour not in seen:
+                        seen[neighbour] = node
+                        fringe.append(neighbour)
+                    if neighbour in other:
+                        return _walk(pred, neighbour)[::-1] + _walk(succ, succ[neighbour])
+            if expand_forward:
+                forward = fringe
+            else:
+                reverse = fringe
+        raise RoutingError(f"no path between {source} and {target}")
+
+
+def _walk(links: Dict[Coordinate, Optional[Coordinate]], node: Optional[Coordinate]) -> List[Coordinate]:
+    """Follow BFS parent links from ``node`` until the search root."""
+    chain: List[Coordinate] = []
+    while node is not None:
+        chain.append(node)
+        node = links[node]
+    return chain
 
 
 def square_mesh(side: int, allocation: ResourceAllocation | None = None, **kwargs) -> MeshTopology:
