@@ -28,6 +28,7 @@ from ..physics.parameters import IonTrapParameters
 from ..sim.machine import QuantumMachine
 from ..sim.results import SimulationResult
 from ..sim.simulator import CommunicationSimulator
+from ..sim.transport import DEFAULT_ALLOCATOR
 from ..workloads.qft import qft_stream
 from .series import FigureData, Series
 
@@ -81,7 +82,7 @@ def run_configuration(
     num_qubits: Optional[int] = None,
     params: Optional[IonTrapParameters] = None,
     logical_gate_us: float = 300.0,
-    allocator: str = "incremental",
+    allocator: str = DEFAULT_ALLOCATOR,
 ) -> SimulationResult:
     """Simulate the QFT on one (layout, allocation) configuration."""
     machine = QuantumMachine(

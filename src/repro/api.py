@@ -33,12 +33,6 @@ from .scenarios.spec import ScenarioSpec
 __all__ = ["load_scenario", "run", "serve", "sweep"]
 
 
-def _as_spec(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> ScenarioSpec:
-    if isinstance(spec, ScenarioSpec):
-        return spec
-    return ScenarioSpec.from_dict(spec)
-
-
 def load_scenario(source: str, name: Optional[str] = None) -> ScenarioSpec:
     """Resolve ``source`` into one validated scenario.
 
@@ -92,7 +86,7 @@ def run(
     """
     from .scenarios.run import run as run_spec
 
-    resolved = _as_spec(spec)
+    resolved = ScenarioSpec.coerce(spec)
     if backend is not None:
         resolved = resolved.with_backend(backend)
     return run_spec(resolved)
@@ -108,7 +102,7 @@ def serve(
     Exactly :func:`run`, except a missing ``traffic`` section is an error
     instead of a silent fall-back to batch mode.
     """
-    resolved = _as_spec(spec)
+    resolved = ScenarioSpec.coerce(spec)
     if resolved.traffic is None:
         raise ScenarioError(
             f"scenario {resolved.name!r} has no traffic section; "
@@ -148,7 +142,7 @@ def sweep(
     from .runtime.runner import ExperimentRunner
     from .scenarios.run import run_record
 
-    resolved = [_as_spec(spec) for spec in specs]
+    resolved = [ScenarioSpec.coerce(spec) for spec in specs]
     if not resolved:
         raise ScenarioError("sweep needs at least one scenario")
     if backend is not None:

@@ -16,14 +16,12 @@ service runs — with an exact JSON round-trip
 a module-level callable taking only the spec mapping, so
 :meth:`repro.runtime.ExperimentRunner.sweep` can fan a scenario grid across
 its multiprocessing pool and cache each point under the spec's hash.  For
-batch scenarios its output is byte-for-byte the historical schema-2 record;
-:func:`run_scenario` remains as a deprecated alias for it.
+batch scenarios its output is byte-for-byte the historical schema-2 record.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -44,14 +42,6 @@ from .warmstart import attach as attach_warm_start
 RESULT_SCHEMA_VERSION = 2
 #: Flat records of open-loop service runs (new in the service-mode release).
 SERVICE_SCHEMA_VERSION = 3
-
-
-def _as_spec(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> ScenarioSpec:
-    if isinstance(spec, ScenarioSpec):
-        return spec
-    # Canonical (name-stripped) payloads arrive from the cache-keyed sweep
-    # path; the caller reattaches its own naming to the result record.
-    return ScenarioSpec.from_dict(spec, name="unnamed")
 
 
 def _apply_noise(params: IonTrapParameters, noise: Optional[NoiseSpec]) -> IonTrapParameters:
@@ -79,7 +69,7 @@ def build_machine(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> QuantumMachin
     into the parameter bundle and its ``target_fidelity`` (when given) drives
     purification-level selection machine-wide.
     """
-    spec = _as_spec(spec)
+    spec = ScenarioSpec.coerce(spec, name="unnamed")
     topo = spec.topology
     physics = spec.physics
     runtime = spec.runtime
@@ -121,7 +111,7 @@ def build_machine(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> QuantumMachin
 
 def build_stream(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> InstructionStream:
     """Construct the instruction stream a scenario describes."""
-    spec = _as_spec(spec)
+    spec = ScenarioSpec.coerce(spec, name="unnamed")
     return build_workload(spec.workload.kind, spec.workload.num_qubits, spec.workload.params)
 
 
@@ -441,7 +431,9 @@ def run(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> RunResult:
     the machine construction, so a traffic section changes *what is offered*,
     never *what machine serves it*.
     """
-    spec = _as_spec(spec)
+    # Canonical (name-stripped) payloads arrive from the cache-keyed sweep
+    # path; the caller reattaches its own naming to the result record.
+    spec = ScenarioSpec.coerce(spec, name="unnamed")
     if spec.traffic is not None:
         return _run_service(spec)
     return _run_batch(spec)
@@ -526,21 +518,6 @@ def run_record(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> Dict[str, Any]:
 
     This is the module-level callable :meth:`ExperimentRunner.sweep` ships to
     pool workers.  For batch scenarios the record is byte-identical to the
-    historical schema-2 ``run_scenario`` output.
+    historical schema-2 record.
     """
     return run(spec).flat_record()
-
-
-def run_scenario(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> Dict[str, Any]:
-    """Deprecated alias for :func:`run_record` (the historical flat-dict API).
-
-    Kept byte-compatible for one release; new code should call :func:`run`
-    for the typed :class:`RunResult` or :func:`run_record` for the flat dict.
-    """
-    warnings.warn(
-        "run_scenario() is deprecated: use repro.scenarios.run.run() for the "
-        "typed RunResult or run_record() for the flat record",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_record(spec)

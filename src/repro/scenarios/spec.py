@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import ScenarioError
 from ..network.fabrics import list_topologies
 from ..network.routing import list_balancers
+from ..sim.transport import ALLOCATORS as ALLOCATOR_NAMES
+from ..sim.transport import DEFAULT_ALLOCATOR
 from ..workloads.registry import list_workloads, workload_params
 
 #: Layout aliases accepted by :func:`repro.network.layout.build_layout`,
@@ -36,7 +38,6 @@ LAYOUT_ALIASES = {
     "mobile_qubit": "mobile_qubit",
     "mobile": "mobile_qubit",
 }
-ALLOCATOR_NAMES = ("incremental", "reference", "vectorized")
 ROUTING_NAMES = ("xy", "yx")
 #: Transport backend names accepted by ``runtime.backend``.  Mirrors the
 #: registry in :mod:`repro.sim.transport` (kept literal here so validating a
@@ -543,7 +544,7 @@ class RuntimeSpec:
     """How the scenario executes: backend, layout, allocator, routing, limits."""
 
     layout: str = "home_base"
-    allocator: str = "incremental"
+    allocator: str = DEFAULT_ALLOCATOR
     routing: str = "xy"
     backend: str = "fluid"
     max_events: Optional[int] = None
@@ -627,6 +628,18 @@ class ScenarioSpec:
             network=NetworkSpec.from_dict(network) if network is not None else None,
             description=description,
         )
+
+    @classmethod
+    def coerce(
+        cls, obj: Union["ScenarioSpec", Mapping[str, Any]], *, name: Optional[str] = None
+    ) -> "ScenarioSpec":
+        """``obj`` itself when it is already a spec, else ``from_dict(obj, name=name)``.
+
+        Without ``name`` a mapping must carry its own ``name`` key.
+        """
+        if isinstance(obj, cls):
+            return obj
+        return cls.from_dict(obj, name=name)
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form; ``from_dict`` round-trips it exactly.

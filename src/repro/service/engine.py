@@ -25,7 +25,7 @@ from ..sim.control import PlannedCommunication
 from ..sim.engine import SimulationEngine
 from ..sim.machine import QuantumMachine
 from ..sim.results import ChannelRecord
-from ..sim.transport import create_transport
+from ..sim.transport import DEFAULT_ALLOCATOR, create_transport
 from ..trace import (
     REQUEST_KINDS,
     RequestAdmitted,
@@ -186,7 +186,7 @@ class ServiceSimulator:
         self,
         machine: QuantumMachine,
         *,
-        allocator: str = "incremental",
+        allocator: str = DEFAULT_ALLOCATOR,
         backend: str = "fluid",
     ) -> None:
         self.machine = machine

@@ -78,7 +78,7 @@ from ..trace.records import FlowRateChanged
 from .control import PlannedCommunication
 from .engine import Event, SimulationEngine
 from .machine import QuantumMachine
-from .transport import TransportBackend, register_backend
+from .transport import ALLOCATORS, DEFAULT_ALLOCATOR, TransportBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .flowpack import FlowPack
@@ -93,9 +93,6 @@ KIND_PURIFIER = "purifier"
 RESOURCE_KINDS = (KIND_TELEPORTER_X, KIND_TELEPORTER_Y, KIND_GENERATOR, KIND_PURIFIER)
 
 ResourceKey = Tuple
-
-#: The allocator names FlowTransport accepts (mirrored by the scenario codec).
-ALLOCATORS = ("incremental", "reference", "vectorized")
 
 #: Residual capacity below which a resource counts as saturated.
 _SATURATION_EPS = 1e-12
@@ -154,7 +151,7 @@ class FlowTransport(TransportBackend):
         engine: SimulationEngine,
         machine: QuantumMachine,
         *,
-        allocator: str = "incremental",
+        allocator: str = DEFAULT_ALLOCATOR,
     ) -> None:
         if allocator not in ALLOCATORS:
             raise SimulationError(

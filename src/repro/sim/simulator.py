@@ -25,7 +25,7 @@ from .engine import SimulationEngine
 from .machine import QuantumMachine
 from .results import OperationRecord, SimulationResult
 from .scheduler import InstructionScheduler
-from .transport import create_transport
+from .transport import DEFAULT_ALLOCATOR, create_transport
 
 
 @dataclass
@@ -57,7 +57,7 @@ class CommunicationSimulator:
         self,
         machine: QuantumMachine,
         *,
-        allocator: str = "incremental",
+        allocator: str = DEFAULT_ALLOCATOR,
         backend: str = "fluid",
     ) -> None:
         self.machine = machine

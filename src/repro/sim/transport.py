@@ -38,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fidelity import ChannelFidelityModel
     from .machine import QuantumMachine
 
+#: The max-min allocators the fluid backend (:mod:`repro.sim.flow`) accepts.
+#: They live here, with the contract, because :func:`create_transport`
+#: defaults to one and the fluid backend imports this module.
+ALLOCATORS = ("incremental", "reference", "vectorized")
+DEFAULT_ALLOCATOR = "incremental"
+
 
 class TransportBackend(ABC):
     """Services planned communications on a machine, one channel per request.
@@ -283,7 +289,7 @@ def create_transport(
     engine: "SimulationEngine",
     machine: "QuantumMachine",
     *,
-    allocator: str = "incremental",
+    allocator: str = DEFAULT_ALLOCATOR,
 ) -> TransportBackend:
     """Instantiate the backend registered under ``name``.
 

@@ -1,10 +1,15 @@
 """Differential verification harness over the simulation trace bus.
 
-Two allocators and two transport backends implement the same physics; this
-package is how the repository proves they keep agreeing while the fast paths
-are rewritten.  :mod:`~repro.verify.harness` replays scenarios and diffs
-their dynamics; :mod:`~repro.verify.golden` pins canonical traces as JSONL
-fixtures; ``python -m repro verify run|record|diff`` is the front end.
+Three allocators, two transport backends and three routing policies run the
+same physics; this package is how the repository proves they keep agreeing
+while the fast paths are rewritten.  :mod:`~repro.verify.harness` has one
+differential-replay core, :func:`~repro.verify.harness.replay`: it replays a
+scenario once per value of an axis (allocator, backend, or routing policy)
+and diffs every run against the first with a list of comparators.  The
+``verify_*`` exports are presets of it, each an axis plus its comparators.
+:mod:`~repro.verify.golden` pins canonical traces as JSONL fixtures, and
+``python -m repro verify run|record|diff|fidelity|traffic|routing`` is the
+front end.
 
 Exports resolve lazily (PEP 562): importing :mod:`repro.verify` — which the
 CLI does just to build its argument parser — must not drag in the whole

@@ -1,7 +1,9 @@
 """``python -m repro verify`` — differential verification and golden traces.
 
-Three subcommands over the same scenario selection (catalog names, a
-``--spec`` file, or ``--all-catalog``):
+Six subcommands over the same scenario selection (catalog names, a
+``--spec`` file, or ``--all-catalog``).  ``run``, ``fidelity``, ``traffic``
+and ``routing`` report through one loop: a status line per scenario, its
+divergences, and an agreed/diverged summary.
 
 ``run``
     Replay each scenario under every requested allocator and diff makespans,
@@ -39,16 +41,13 @@ Three subcommands over the same scenario selection (catalog names, a
 from __future__ import annotations
 
 import argparse
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ScenarioError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.spec import ScenarioSpec
-
-#: Mirrored from :data:`repro.scenarios.spec.ALLOCATOR_NAMES` at call time;
-#: the parser needs the default string before the scenario stack is imported.
-_DEFAULT_ALLOCATORS = "incremental,reference,vectorized"
+    from .harness import Divergence
 
 
 def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
@@ -58,7 +57,8 @@ def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
     )
     verify_subs = verify.add_subparsers(dest="verify_command", required=True)
 
-    def _common(sub: argparse.ArgumentParser) -> None:
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        sub = verify_subs.add_parser(name, help=help_text)
         sub.add_argument(
             "names",
             nargs="*",
@@ -76,16 +76,14 @@ def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
             metavar="FILE",
             help="JSON/YAML scenario file to select scenarios from",
         )
+        return sub
 
-    run = verify_subs.add_parser(
-        "run", help="replay scenarios under multiple allocators and diff the dynamics"
-    )
-    _common(run)
+    run = command("run", "replay scenarios under multiple allocators and diff the dynamics")
     run.add_argument(
         "--allocators",
-        default=_DEFAULT_ALLOCATORS,
+        default=None,
         metavar="A,B",
-        help=f"comma-separated allocators to diff (default: {_DEFAULT_ALLOCATORS})",
+        help="comma-separated allocators to diff (default: every allocator)",
     )
     run.add_argument(
         "--backends",
@@ -94,33 +92,20 @@ def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
         "backends and diff makespans/op order within documented tolerances",
     )
 
-    record = verify_subs.add_parser(
-        "record", help="(re-)record golden trace fixtures — a deliberate act"
-    )
-    _common(record)
-    record.add_argument(
-        "--golden-dir",
-        default=None,
-        metavar="DIR",
-        help="fixture directory (default: tests/golden)",
-    )
+    for name, help_text in (
+        ("record", "(re-)record golden trace fixtures — a deliberate act"),
+        ("diff", "diff canonical traces against the checked-in golden fixtures"),
+    ):
+        command(name, help_text).add_argument(
+            "--golden-dir",
+            default=None,
+            metavar="DIR",
+            help="fixture directory (default: tests/golden)",
+        )
 
-    diff = verify_subs.add_parser(
-        "diff", help="diff canonical traces against the checked-in golden fixtures"
+    fidelity = command(
+        "fidelity", "fluid-vs-detailed delivered-fidelity parity check (noise applied)"
     )
-    _common(diff)
-    diff.add_argument(
-        "--golden-dir",
-        default=None,
-        metavar="DIR",
-        help="fixture directory (default: tests/golden)",
-    )
-
-    fidelity = verify_subs.add_parser(
-        "fidelity",
-        help="fluid-vs-detailed delivered-fidelity parity check (noise applied)",
-    )
-    _common(fidelity)
     fidelity.add_argument(
         "--tolerance",
         type=float,
@@ -130,19 +115,16 @@ def add_verify_parser(subparsers: argparse._SubParsersAction) -> None:
         "FIDELITY_ABS_TOL)",
     )
 
-    traffic = verify_subs.add_parser(
+    command(
         "traffic",
-        help="fluid-vs-detailed parity on open-loop service traffic "
+        "fluid-vs-detailed parity on open-loop service traffic "
         "(delivered load and request completion order)",
     )
-    _common(traffic)
-
-    routing = verify_subs.add_parser(
+    routing = command(
         "routing",
-        help="load-balancing policy equivalence (completion sets, makespan "
+        "load-balancing policy equivalence (completion sets, makespan "
         "ordering, route records, fluid-vs-detailed parity per policy)",
     )
-    _common(routing)
     routing.add_argument(
         "--policies",
         default=None,
@@ -163,50 +145,66 @@ def _selected_specs(args: argparse.Namespace) -> List["ScenarioSpec"]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.verify_command == "run":
-        return _cmd_run(args)
-    if args.verify_command == "record":
-        return _cmd_record(args)
-    if args.verify_command == "diff":
-        return _cmd_diff(args)
-    if args.verify_command == "fidelity":
-        return _cmd_fidelity(args)
-    if args.verify_command == "traffic":
-        return _cmd_traffic(args)
-    if args.verify_command == "routing":
-        return _cmd_routing(args)
-    raise AssertionError(  # pragma: no cover
-        f"unhandled verify command {args.verify_command!r}"
-    )
+    commands: Dict[str, Callable[[argparse.Namespace], int]] = {
+        "run": _cmd_run,
+        "record": _cmd_record,
+        "diff": _cmd_diff,
+        "fidelity": _cmd_fidelity,
+        "traffic": _cmd_traffic,
+        "routing": _cmd_routing,
+    }
+    return commands[args.verify_command](args)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from .harness import verify_backends, verify_scenario
+def _report(
+    specs: Sequence["ScenarioSpec"],
+    check: Callable[["ScenarioSpec"], Tuple[str, List["Divergence"]]],
+    title: str,
+    suffix: str = "",
+) -> int:
+    """Check every spec, print one status line each, then a summary line.
 
-    allocators = tuple(a for a in args.allocators.split(",") if a)
-    specs = _selected_specs(args)
+    ``check(spec)`` returns the text between the scenario name and its
+    status, plus the divergences found; ``title`` and ``suffix`` frame the
+    agreed/diverged counts in the summary.  Exits 1 on any divergence.
+    """
     width = max(len(spec.name) for spec in specs)
     failures = 0
     for spec in specs:
-        verdict = verify_scenario(spec, allocators=allocators)
-        divergences = list(verdict.divergences)
-        if args.backends:
-            divergences.extend(verify_backends(spec))
+        what, divergences = check(spec)
         status = "ok" if not divergences else f"DIVERGED ({len(divergences)})"
-        print(
-            f"{spec.name:{width}s}  makespan={verdict.makespan_us:14.3f} us  "
-            f"ops={verdict.operations:4d}  channels={verdict.channels:4d}  "
-            f"allocators={','.join(verdict.allocators)}  {status}"
-        )
+        print(f"{spec.name:{width}s}  {what}  {status}")
         for divergence in divergences:
             print(f"  {divergence}")
         failures += bool(divergences)
     total = len(specs)
     print(
-        f"verified {total} scenario{'s' if total != 1 else ''}: "
-        f"{total - failures} agreed, {failures} diverged"
+        f"{title} {total} scenario{'s' if total != 1 else ''}: "
+        f"{total - failures} agreed, {failures} diverged{suffix}"
     )
     return 1 if failures else 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from ..sim.transport import ALLOCATORS
+    from .harness import verify_backends, verify_scenario
+
+    allocators = (
+        ALLOCATORS
+        if args.allocators is None
+        else tuple(a for a in args.allocators.split(",") if a)
+    )
+
+    def check(spec: "ScenarioSpec") -> Tuple[str, List["Divergence"]]:
+        verdict = verify_scenario(spec, allocators=allocators)
+        divergences = verdict.divergences + (verify_backends(spec) if args.backends else [])
+        return (
+            f"makespan={verdict.makespan_us:14.3f} us  ops={verdict.operations:4d}  "
+            f"channels={verdict.channels:4d}  allocators={','.join(verdict.allocators)}",
+            divergences,
+        )
+
+    return _report(_selected_specs(args), check, "verified")
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
@@ -223,22 +221,15 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     from .harness import FIDELITY_ABS_TOL, verify_fidelity
 
     tolerance = FIDELITY_ABS_TOL if args.tolerance is None else args.tolerance
-    specs = _selected_specs(args)
-    width = max(len(spec.name) for spec in specs)
-    failures = 0
-    for spec in specs:
-        divergences = verify_fidelity(spec, tolerance=tolerance)
-        status = "ok" if not divergences else f"DIVERGED ({len(divergences)})"
-        print(f"{spec.name:{width}s}  fluid vs detailed delivered fidelity  {status}")
-        for divergence in divergences:
-            print(f"  {divergence}")
-        failures += bool(divergences)
-    total = len(specs)
-    print(
-        f"fidelity parity on {total} scenario{'s' if total != 1 else ''}: "
-        f"{total - failures} agreed, {failures} diverged (tolerance {tolerance:g})"
+    return _report(
+        _selected_specs(args),
+        lambda spec: (
+            "fluid vs detailed delivered fidelity",
+            verify_fidelity(spec, tolerance=tolerance),
+        ),
+        "fidelity parity on",
+        f" (tolerance {tolerance:g})",
     )
-    return 1 if failures else 0
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
@@ -252,22 +243,12 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             "check needs open-loop service scenarios"
         )
     skipped = len(specs) - len(service_specs)
-    width = max(len(spec.name) for spec in service_specs)
-    failures = 0
-    for spec in service_specs:
-        divergences = verify_traffic(spec)
-        status = "ok" if not divergences else f"DIVERGED ({len(divergences)})"
-        print(f"{spec.name:{width}s}  fluid vs detailed service traffic  {status}")
-        for divergence in divergences:
-            print(f"  {divergence}")
-        failures += bool(divergences)
-    total = len(service_specs)
-    print(
-        f"traffic parity on {total} scenario{'s' if total != 1 else ''}: "
-        f"{total - failures} agreed, {failures} diverged"
-        + (f" ({skipped} batch scenario{'s' if skipped != 1 else ''} skipped)" if skipped else "")
+    return _report(
+        service_specs,
+        lambda spec: ("fluid vs detailed service traffic", verify_traffic(spec)),
+        "traffic parity on",
+        f" ({skipped} batch scenario{'s' if skipped != 1 else ''} skipped)" if skipped else "",
     )
-    return 1 if failures else 0
 
 
 def _cmd_routing(args: argparse.Namespace) -> int:
@@ -278,22 +259,11 @@ def _cmd_routing(args: argparse.Namespace) -> int:
         if args.policies is None
         else tuple(p for p in args.policies.split(",") if p)
     )
-    specs = _selected_specs(args)
-    width = max(len(spec.name) for spec in specs)
-    failures = 0
-    for spec in specs:
-        divergences = verify_routing(spec, policies=policies)
-        status = "ok" if not divergences else f"DIVERGED ({len(divergences)})"
-        print(f"{spec.name:{width}s}  policies={','.join(policies)}  {status}")
-        for divergence in divergences:
-            print(f"  {divergence}")
-        failures += bool(divergences)
-    total = len(specs)
-    print(
-        f"routing equivalence on {total} scenario{'s' if total != 1 else ''}: "
-        f"{total - failures} agreed, {failures} diverged"
+    return _report(
+        _selected_specs(args),
+        lambda spec: (f"policies={','.join(policies)}", verify_routing(spec, policies=policies)),
+        "routing equivalence on",
     )
-    return 1 if failures else 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:

@@ -110,8 +110,7 @@ def diff_golden(
     max_mismatches: int = MAX_REPORTED_MISMATCHES,
 ) -> GoldenDiff:
     """Replay ``spec`` and diff its canonical trace against the fixture."""
-    if not isinstance(spec, ScenarioSpec):
-        spec = ScenarioSpec.from_dict(spec)
+    spec = ScenarioSpec.coerce(spec)
     path = golden_path(spec.name, directory)
     diff = GoldenDiff(scenario=spec.name, path=path)
     try:

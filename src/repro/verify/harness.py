@@ -1,42 +1,45 @@
-"""Differential verification: replay one scenario several ways, diff traces.
+"""Differential verification: replay one scenario several ways, diff the runs.
 
 The paper's credibility rests on independent implementations of the same
-physics agreeing: the incremental and reference max-min allocators must
-produce *bitwise identical* dynamics, and the fluid flow backend must stay
-consistent with the detailed per-pair backend.  This module turns that
-agreement into a harness:
+physics agreeing: the max-min allocators must produce *bitwise identical*
+dynamics, and the fluid flow backend must stay consistent with the detailed
+per-pair backend.  One core turns that agreement into a harness:
+:func:`replay` coerces the spec, validates the values of one :class:`Axis`
+(allocator, backend, or routing policy), runs the first value as the
+baseline and the others after it (each through :func:`traced_run`, which
+returns the trace next to the result), and concatenates what each
+*comparator* — a function ``(baseline, other) -> List[Divergence]`` — finds.
+The ``verify_*`` functions are presets, one axis plus its comparators:
 
-* :func:`traced_run` executes a scenario with a trace bus attached and
-  returns the typed record stream next to the simulation result;
-* :func:`verify_scenario` replays a scenario under every requested allocator
-  and diffs four aspects — the makespan (bitwise), the per-operation
-  completion order (exact), the per-channel open/close timeline (bitwise) and
-  the per-flow rate timeline, i.e. the channel utilisation trajectory
-  (bitwise); final per-class utilisation reports are compared to 1e-9
-  relative (their summation *order* legitimately differs between allocators);
-* :func:`verify_backends` cross-checks the fluid model against the detailed
-  per-pair backend end to end: the *same* scenario is replayed under both
-  transport granularities and their makespans and operation completion
-  orders must agree within documented tolerances — the two backends share
-  only the scheduler/control loop above the transport contract, so
-  agreement is evidence, not tautology;
-* :func:`verify_traffic` extends the cross-check to open-loop service mode:
-  both backends are fed the *bitwise identical* request stream (the arrivals
-  are pre-generated from the spec) and must agree on what was offered, what
-  completed, the request completion order (within the documented disorder
-  tolerance) and the delivered load (within the documented ratio).
+* :func:`verify_scenario` — allocators, :func:`compare_runs`: makespan,
+  channel and flow-rate timelines bitwise, op completion order exact,
+  utilisation to 1e-9 relative (summation order differs by allocator);
+* :func:`verify_backends` — backends, :func:`compare_backend_runs`:
+  makespan and op order within documented tolerances (the backends share
+  only the control loop above the transport contract, so agreement is
+  evidence, not tautology);
+* :func:`verify_fidelity` — backends with parity noise applied,
+  :func:`compare_fidelity_runs`: delivered per-channel fidelities;
+* :func:`verify_traffic` — backends on a service scenario,
+  :func:`compare_traffic_runs`: identical offered streams, equal drop and
+  completion sets, completion order and delivered load within tolerance;
+* :func:`verify_routing` — routing policies, each itself a backend replay;
+  route records are checked per run, completion sets per policy pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ScenarioError
+from ..network.routing import list_balancers
 from ..scenarios.run import build_machine, build_stream
-from ..scenarios.spec import ALLOCATOR_NAMES, BACKEND_NAMES, ScenarioSpec
+from ..scenarios.spec import BACKEND_NAMES, ScenarioSpec
 from ..sim.results import SimulationResult
 from ..sim.simulator import CommunicationSimulator
+from ..sim.transport import ALLOCATORS
 from ..trace import (
     CANONICAL_KINDS,
     ChannelClosed,
@@ -102,12 +105,6 @@ ROUTING_POLICIES = ("ecmp", "least_loaded", "adaptive")
 ROUTING_MAKESPAN_TOL = 0.05
 
 
-def _as_spec(spec: Union[ScenarioSpec, Mapping[str, Any]]) -> ScenarioSpec:
-    if isinstance(spec, ScenarioSpec):
-        return spec
-    return ScenarioSpec.from_dict(spec)
-
-
 @dataclass
 class TracedRun:
     """One simulated scenario with its trace attached.
@@ -128,6 +125,12 @@ class TracedRun:
     def makespan_us(self) -> float:
         return self.result.makespan_us
 
+    @property
+    def policy(self) -> Optional[str]:
+        """The load-balancing policy the spec selects (None: single-path)."""
+        network = self.spec.network
+        return network.routing.policy if network and network.routing else None
+
     def of_kind(self, kind: str) -> List[TraceRecord]:
         return [record for record in self.records if record.kind == kind]
 
@@ -147,28 +150,22 @@ def traced_run(
     section runs through the open-loop service simulator; everything else
     runs the workload's instruction stream through the batch simulator.
     """
-    spec = _as_spec(spec)
+    spec = ScenarioSpec.coerce(spec)
     allocator = allocator or spec.runtime.allocator
     backend = backend or spec.runtime.backend
     machine = build_machine(spec)
     bus = TraceBus(kinds=DIFFERENTIAL_KINDS if kinds is None else kinds)
+    result: Union[SimulationResult, "ServiceResult"]
     if spec.traffic is not None:
         from ..service import ServiceSimulator
 
-        service_result = ServiceSimulator(machine, allocator=allocator, backend=backend).run(
+        result = ServiceSimulator(machine, allocator=allocator, backend=backend).run(
             spec.traffic, trace=bus
         )
-        return TracedRun(
-            spec=spec,
-            allocator=allocator,
-            result=service_result,
-            records=bus.records,
-            backend=backend,
+    else:
+        result = CommunicationSimulator(machine, allocator=allocator, backend=backend).run(
+            build_stream(spec), max_events=spec.runtime.max_events, trace=bus
         )
-    stream = build_stream(spec)
-    result = CommunicationSimulator(machine, allocator=allocator, backend=backend).run(
-        stream, max_events=spec.runtime.max_events, trace=bus
-    )
     return TracedRun(
         spec=spec, allocator=allocator, result=result, records=bus.records, backend=backend
     )
@@ -202,6 +199,113 @@ class ScenarioVerdict:
         return not self.divergences
 
 
+# -- the replay core ----------------------------------------------------------------
+
+#: Diffs a run against the baseline; an empty list means agreement.
+Comparator = Callable[[TracedRun, TracedRun], List[Divergence]]
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One dimension a scenario is replayed along.
+
+    ``point(spec, value)`` runs the spec at one value and returns the run
+    plus any divergences found producing it (a nested replay's).
+    """
+
+    noun: str
+    nouns: str
+    known: Tuple[str, ...]
+    point: Callable[[ScenarioSpec, str], Tuple[TracedRun, List[Divergence]]]
+
+
+ALLOCATOR_AXIS = Axis(
+    "allocator", "allocators", ALLOCATORS, lambda spec, v: (traced_run(spec, allocator=v), [])
+)
+BACKEND_AXIS = Axis(
+    "backend", "backends", BACKEND_NAMES, lambda spec, v: (traced_run(spec, backend=v), [])
+)
+
+
+def replay(
+    spec: Union[ScenarioSpec, Mapping[str, Any]],
+    axis: Axis,
+    values: Sequence[str],
+    comparators: Sequence[Comparator],
+    *,
+    purpose: str,
+    minimum: int = 2,
+    prepare: Optional[Callable[[ScenarioSpec], ScenarioSpec]] = None,
+    check: Optional[Callable[[TracedRun], List[Divergence]]] = None,
+) -> Tuple[List[TracedRun], List[Divergence]]:
+    """Replay ``spec`` at every value of ``axis``; diff each run against the first.
+
+    Returns the runs (baseline first) and every divergence found.
+    ``prepare`` transforms or rejects the coerced spec before the values are
+    validated; ``purpose`` names the check in the too-few-values error.
+    ``check`` vets each run on its own; then each comparator diffs every run
+    after the baseline against it.
+    """
+    spec = ScenarioSpec.coerce(spec)
+    if prepare is not None:
+        spec = prepare(spec)
+    values = tuple(values)
+    if len(values) < minimum:
+        count, noun = ("one", axis.noun) if minimum == 1 else ("two", axis.nouns)
+        raise ScenarioError(f"{purpose} needs at least {count} {noun}, got {list(values)}")
+    unknown = sorted(set(values) - set(axis.known))
+    if unknown:
+        raise ScenarioError(f"unknown {axis.nouns} {unknown}; available: {sorted(axis.known)}")
+    runs: List[TracedRun] = []
+    divergences: List[Divergence] = []
+    for value in values:
+        run, found = axis.point(spec, value)
+        if check is not None:
+            divergences.extend(check(run))
+        divergences.extend(found)
+        runs.append(run)
+    for other in runs[1:]:
+        for compare in comparators:
+            divergences.extend(compare(runs[0], other))
+    return runs, divergences
+
+
+# -- shared comparison helpers ------------------------------------------------------
+
+
+def _first_index(xs: Sequence[Any], ys: Sequence[Any]) -> int:
+    """The first position at which two (unequal) sequences differ."""
+    return next(
+        (i for i, (x, y) in enumerate(zip(xs, ys)) if x != y), min(len(xs), len(ys))
+    )
+
+
+def _first_difference(xs: Sequence[Any], ys: Sequence[Any]) -> str:
+    first = _first_index(xs, ys)
+    got = xs[first] if first < len(xs) else "<missing>"
+    want = ys[first] if first < len(ys) else "<missing>"
+    return f"first difference at index {first}: {got} vs {want}"
+
+
+def _compare_positive_ratio(
+    a: TracedRun, b: TracedRun, x: float, y: float, bound: float, aspect: str, what: str, unit: str
+) -> List[Divergence]:
+    """Both values positive, and ``y`` (of ``b``) within ``1/bound..bound`` times ``x`` (of ``a``)."""
+    if x <= 0 or y <= 0:
+        detail = f"non-positive {what}: {a.backend}={x!r} vs {b.backend}={y!r}"
+    elif 1.0 / bound <= y / x <= bound:
+        return []
+    else:
+        detail = (
+            f"{a.backend}={x:.3f}{unit} vs {b.backend}={y:.3f}{unit} "
+            f"(ratio {y / x:.3f} outside 1/{bound:g}..{bound:g})"
+        )
+    return [Divergence(a.spec.name, aspect, detail)]
+
+
+# -- allocator parity ---------------------------------------------------------------
+
+
 def _op_completion_order(run: TracedRun) -> List[int]:
     return [record.op_index for record in run.of_kind(OperationRetired.kind)]
 
@@ -224,10 +328,7 @@ def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
 
     order_a, order_b = _op_completion_order(a), _op_completion_order(b)
     if order_a != order_b:
-        first = next(
-            (i for i, (x, y) in enumerate(zip(order_a, order_b)) if x != y),
-            min(len(order_a), len(order_b)),
-        )
+        first = _first_index(order_a, order_b)
         divergences.append(
             Divergence(
                 name,
@@ -249,18 +350,12 @@ def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
     ):
         recs_a, recs_b = a.of_kind(kind), b.of_kind(kind)
         if recs_a != recs_b:
-            first = next(
-                (i for i, (x, y) in enumerate(zip(recs_a, recs_b)) if x != y),
-                min(len(recs_a), len(recs_b)),
-            )
-            got = recs_a[first] if first < len(recs_a) else "<missing>"
-            want = recs_b[first] if first < len(recs_b) else "<missing>"
             divergences.append(
                 Divergence(
                     name,
                     aspect,
-                    f"{len(recs_a)} vs {len(recs_b)} records; first difference at "
-                    f"index {first}: {got} vs {want}",
+                    f"{len(recs_a)} vs {len(recs_b)} records; "
+                    f"{_first_difference(recs_a, recs_b)}",
                 )
             )
 
@@ -292,27 +387,16 @@ def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
 def verify_scenario(
     spec: Union[ScenarioSpec, Mapping[str, Any]],
     *,
-    allocators: Sequence[str] = ALLOCATOR_NAMES,
+    allocators: Sequence[str] = ALLOCATORS,
 ) -> ScenarioVerdict:
     """Replay ``spec`` under every allocator and diff the dynamics."""
-    spec = _as_spec(spec)
-    allocators = tuple(allocators)
-    if len(allocators) < 2:
-        raise ScenarioError(
-            f"differential verification needs at least two allocators, got {list(allocators)}"
-        )
-    unknown = sorted(set(allocators) - set(ALLOCATOR_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown allocators {unknown}; available: {sorted(ALLOCATOR_NAMES)}"
-        )
-    baseline = traced_run(spec, allocator=allocators[0])
-    divergences: List[Divergence] = []
-    for other in allocators[1:]:
-        divergences.extend(compare_runs(baseline, traced_run(spec, allocator=other)))
+    runs, divergences = replay(
+        spec, ALLOCATOR_AXIS, allocators, [compare_runs], purpose="differential verification"
+    )
+    baseline = runs[0]
     return ScenarioVerdict(
-        scenario=spec.name,
-        allocators=allocators,
+        scenario=baseline.spec.name,
+        allocators=tuple(run.allocator for run in runs),
         makespan_us=baseline.makespan_us,
         operations=baseline.result.operation_count,
         channels=baseline.result.channel_count,
@@ -339,6 +423,29 @@ def _order_distance(a: List[int], b: List[int]) -> float:
     return inversions / (n * (n - 1) / 2)
 
 
+def _compare_completions(
+    a: TracedRun,
+    b: TracedRun,
+    order_of: Callable[[TracedRun], List[int]],
+    tolerance: float,
+    aspects: Tuple[str, str],
+    items: str,
+    orders: str = "completion orders",
+) -> List[Divergence]:
+    """The same ``items`` completed (else ``aspects[0]``), in orders within
+    ``tolerance`` normalized pairwise inversions (else ``aspects[1]``).
+    """
+    order_a, order_b = order_of(a), order_of(b)
+    if sorted(order_a) != sorted(order_b):
+        detail = f"completed {items} differ: {len(order_a)} ({a.backend}) vs {len(order_b)} ({b.backend})"
+        return [Divergence(a.spec.name, aspects[0], detail)]
+    disorder = _order_distance(order_a, order_b)
+    if disorder <= tolerance:
+        return []
+    detail = f"{orders} differ by {disorder:.3f} normalized inversions (tolerance {tolerance:g})"
+    return [Divergence(a.spec.name, aspects[1], detail)]
+
+
 def compare_backend_runs(
     a: TracedRun,
     b: TracedRun,
@@ -354,58 +461,22 @@ def compare_backend_runs(
     structure must match exactly, and the operation completion orders may
     differ by at most ``order_tolerance`` normalized pairwise inversions.
     """
-    name = a.spec.name
-    divergences: List[Divergence] = []
-
+    divergences = _compare_positive_ratio(
+        a, b, a.makespan_us, b.makespan_us, makespan_ratio, "backend_makespan", "makespan", " us"
+    )
     if a.makespan_us <= 0 or b.makespan_us <= 0:
-        divergences.append(
-            Divergence(
-                name,
-                "backend_makespan",
-                f"non-positive makespan: {a.backend}={a.makespan_us!r} "
-                f"vs {b.backend}={b.makespan_us!r}",
-            )
-        )
         return divergences
-    ratio = b.makespan_us / a.makespan_us
-    if not (1.0 / makespan_ratio <= ratio <= makespan_ratio):
-        divergences.append(
-            Divergence(
-                name,
-                "backend_makespan",
-                f"{a.backend}={a.makespan_us:.3f} us vs {b.backend}={b.makespan_us:.3f} us "
-                f"(ratio {ratio:.3f} outside 1/{makespan_ratio:g}..{makespan_ratio:g})",
-            )
-        )
 
-    order_a, order_b = _op_completion_order(a), _op_completion_order(b)
-    if sorted(order_a) != sorted(order_b):
-        divergences.append(
-            Divergence(
-                name,
-                "backend_op_set",
-                f"completed operations differ: {len(order_a)} ({a.backend}) "
-                f"vs {len(order_b)} ({b.backend})",
-            )
-        )
-    else:
-        disorder = _order_distance(order_a, order_b)
-        if disorder > order_tolerance:
-            divergences.append(
-                Divergence(
-                    name,
-                    "backend_op_order",
-                    f"completion orders differ by {disorder:.3f} normalized inversions "
-                    f"(tolerance {order_tolerance:g})",
-                )
-            )
+    divergences += _compare_completions(
+        a, b, _op_completion_order, order_tolerance, ("backend_op_set", "backend_op_order"), "operations"
+    )
 
     opens_a = len(a.of_kind(ChannelOpened.kind))
     opens_b = len(b.of_kind(ChannelOpened.kind))
     if opens_a != opens_b:
         divergences.append(
             Divergence(
-                name,
+                a.spec.name,
                 "backend_channels",
                 f"channel counts differ: {opens_a} ({a.backend}) vs {opens_b} ({b.backend})",
             )
@@ -427,29 +498,8 @@ def verify_backends(
     within ``order_tolerance`` (see :func:`compare_backend_runs`).  Works on
     any catalog or file-defined scenario the backends can execute.
     """
-    spec = _as_spec(spec)
-    backends = tuple(backends)
-    if len(backends) < 2:
-        raise ScenarioError(
-            f"the backend cross-check needs at least two backends, got {list(backends)}"
-        )
-    unknown = sorted(set(backends) - set(BACKEND_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown backends {unknown}; available: {sorted(BACKEND_NAMES)}"
-        )
-    baseline = traced_run(spec, backend=backends[0])
-    divergences: List[Divergence] = []
-    for other in backends[1:]:
-        divergences.extend(
-            compare_backend_runs(
-                baseline,
-                traced_run(spec, backend=other),
-                makespan_ratio=makespan_ratio,
-                order_tolerance=order_tolerance,
-            )
-        )
-    return divergences
+    compare = partial(compare_backend_runs, makespan_ratio=makespan_ratio, order_tolerance=order_tolerance)
+    return replay(spec, BACKEND_AXIS, backends, [compare], purpose="the backend cross-check")[1]
 
 
 # -- fidelity parity ----------------------------------------------------------------
@@ -550,38 +600,62 @@ def verify_fidelity(
     ``noise`` argument) applied — and the delivered per-channel fidelities
     must agree within ``tolerance`` (see :func:`compare_fidelity_runs`).
     """
-    spec = _as_spec(spec)
-    if noise is not None or spec.noise is None:
-        spec = spec.with_noise(dict(noise) if noise is not None else dict(PARITY_NOISE))
-    backends = tuple(backends)
-    if len(backends) < 2:
-        raise ScenarioError(
-            f"the fidelity parity check needs at least two backends, got {list(backends)}"
-        )
-    unknown = sorted(set(backends) - set(BACKEND_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown backends {unknown}; available: {sorted(BACKEND_NAMES)}"
-        )
-    baseline = traced_run(spec, backend=backends[0])
-    divergences: List[Divergence] = []
-    for other in backends[1:]:
-        divergences.extend(
-            compare_fidelity_runs(
-                baseline, traced_run(spec, backend=other), tolerance=tolerance
-            )
-        )
-    return divergences
+
+    def with_parity_noise(spec: ScenarioSpec) -> ScenarioSpec:
+        if noise is None and spec.noise is not None:
+            return spec
+        return spec.with_noise(dict(PARITY_NOISE if noise is None else noise))
+
+    compare = partial(compare_fidelity_runs, tolerance=tolerance)
+    return replay(
+        spec, BACKEND_AXIS, backends, [compare], purpose="the fidelity parity check", prepare=with_parity_noise
+    )[1]
 
 
 # -- routing-policy diff ------------------------------------------------------------
 
 
+def _check_route_records(run: TracedRun) -> List[Divergence]:
+    """One well-formed ``route`` record, naming the policy, per channel open."""
+    details = []
+    routes, opens = run.of_kind(RouteChosen.kind), run.of_kind(ChannelOpened.kind)
+    if len(routes) != len(opens):
+        details.append(f"{run.policy}: {len(routes)} route records for {len(opens)} channel opens")
+    bad = [r for r in routes if r.policy != run.policy or r.candidates < 1]
+    if bad:
+        details.append(f"{run.policy}: {len(bad)} route records malformed (first: {bad[0]})")
+    return [Divergence(run.spec.name, "routing_records", detail) for detail in details]
+
+
 def _completion_identity(run: TracedRun) -> List[int]:
     """What the run completed, order-independent: op indices or request ids."""
     if run.spec.traffic is not None:
-        return sorted(record.request_id for record in run.of_kind(RequestCompleted.kind))
-    return sorted(record.op_index for record in run.of_kind(OperationRetired.kind))
+        return sorted(_request_completion_order(run))
+    return sorted(_op_completion_order(run))
+
+
+def _compare_completion_sets(a: TracedRun, b: TracedRun) -> List[Divergence]:
+    completed, other = _completion_identity(a), _completion_identity(b)
+    if other == completed:
+        return []
+    detail = f"{b.policy} completed {len(other)} items vs {len(completed)} under {a.policy}"
+    return [Divergence(a.spec.name, "routing_completion_set", detail)]
+
+
+def _compare_routing_makespans(ecmp: TracedRun, least_loaded: TracedRun, tolerance: float) -> List[Divergence]:
+    if least_loaded.makespan_us <= ecmp.makespan_us * (1.0 + tolerance):
+        return []
+    detail = (
+        f"least_loaded={least_loaded.makespan_us:.3f} us exceeds "
+        f"ecmp={ecmp.makespan_us:.3f} us by more than {tolerance:.0%}"
+    )
+    return [Divergence(ecmp.spec.name, "routing_makespan_order", detail)]
+
+
+def _backend_parity(a: TracedRun, b: TracedRun, **tolerances: float) -> List[Divergence]:
+    """The backend comparator for the run's mode: traffic or batch parity."""
+    compare = compare_traffic_runs if a.spec.traffic is not None else compare_backend_runs
+    return compare(a, b, **tolerances)
 
 
 def verify_routing(
@@ -607,84 +681,32 @@ def verify_routing(
     * the least-loaded makespan never exceeds the ECMP one by more than
       ``makespan_tolerance`` (load-aware placement must not lose to
       oblivious hashing — they tie exactly on single-path fabrics);
-    * per policy, the fluid and detailed backends agree within the standard
-      cross-backend tolerances (:func:`compare_backend_runs` /
+    * per policy, the scenario is replayed under every backend (the first
+      is the baseline the policy checks see) and the runs agree within the
+      standard cross-backend tolerances (:func:`compare_backend_runs` /
       :func:`compare_traffic_runs`): the load view is channel counts, which
       both granularities maintain identically, so a policy must not open a
       divergence the unbalanced backends do not already have.
     """
-    spec = _as_spec(spec)
-    name = spec.name
-    policies = tuple(policies)
-    if not policies:
-        raise ScenarioError("the routing diff needs at least one policy")
-    divergences: List[Divergence] = []
-    runs: Dict[str, TracedRun] = {}
-    for policy in policies:
+    parity = partial(_backend_parity, makespan_ratio=makespan_ratio, order_tolerance=order_tolerance)
+
+    def at_policy(spec: ScenarioSpec, policy: str) -> Tuple[TracedRun, List[Divergence]]:
         pspec = spec.with_network({"routing": {"policy": policy}})
-        run = traced_run(pspec, backend=backends[0])
-        runs[policy] = run
+        runs, divergences = replay(pspec, BACKEND_AXIS, backends, [parity], purpose="the routing diff", minimum=1)
+        return runs[0], divergences
 
-        routes = run.of_kind(RouteChosen.kind)
-        opens = run.of_kind(ChannelOpened.kind)
-        if len(routes) != len(opens):
-            divergences.append(
-                Divergence(
-                    name,
-                    "routing_records",
-                    f"{policy}: {len(routes)} route records for {len(opens)} channel opens",
-                )
-            )
-        bad = [r for r in routes if r.policy != policy or r.candidates < 1]
-        if bad:
-            divergences.append(
-                Divergence(
-                    name,
-                    "routing_records",
-                    f"{policy}: {len(bad)} route records malformed (first: {bad[0]})",
-                )
-            )
-
-        if len(backends) > 1:
-            compare = (
-                compare_traffic_runs if spec.traffic is not None else compare_backend_runs
-            )
-            for other in backends[1:]:
-                divergences.extend(
-                    compare(
-                        run,
-                        traced_run(pspec, backend=other),
-                        makespan_ratio=makespan_ratio,
-                        order_tolerance=order_tolerance,
-                    )
-                )
-
-    baseline_policy = policies[0]
-    completed = _completion_identity(runs[baseline_policy])
-    for policy in policies[1:]:
-        other = _completion_identity(runs[policy])
-        if other != completed:
-            divergences.append(
-                Divergence(
-                    name,
-                    "routing_completion_set",
-                    f"{policy} completed {len(other)} items vs "
-                    f"{len(completed)} under {baseline_policy}",
-                )
-            )
-
-    if "ecmp" in runs and "least_loaded" in runs:
-        ecmp_makespan = runs["ecmp"].makespan_us
-        ll_makespan = runs["least_loaded"].makespan_us
-        if ll_makespan > ecmp_makespan * (1.0 + makespan_tolerance):
-            divergences.append(
-                Divergence(
-                    name,
-                    "routing_makespan_order",
-                    f"least_loaded={ll_makespan:.3f} us exceeds "
-                    f"ecmp={ecmp_makespan:.3f} us by more than {makespan_tolerance:.0%}",
-                )
-            )
+    runs, divergences = replay(
+        spec,
+        Axis("policy", "policies", tuple(list_balancers()), at_policy),
+        policies,
+        [_compare_completion_sets],
+        purpose="the routing diff",
+        minimum=1,
+        check=_check_route_records,
+    )
+    by_policy = {run.policy: run for run in runs}
+    if "ecmp" in by_policy and "least_loaded" in by_policy:
+        divergences += _compare_routing_makespans(by_policy["ecmp"], by_policy["least_loaded"], makespan_tolerance)
     return divergences
 
 
@@ -721,25 +743,17 @@ def compare_traffic_runs(
     load at rates whose ratio stays within ``makespan_ratio``.
     """
     name = a.spec.name
-    divergences: List[Divergence] = []
-
     arrivals_a, arrivals_b = a.of_kind(RequestArrived.kind), b.of_kind(RequestArrived.kind)
     if arrivals_a != arrivals_b:
-        first = next(
-            (i for i, (x, y) in enumerate(zip(arrivals_a, arrivals_b)) if x != y),
-            min(len(arrivals_a), len(arrivals_b)),
-        )
-        got = arrivals_a[first] if first < len(arrivals_a) else "<missing>"
-        want = arrivals_b[first] if first < len(arrivals_b) else "<missing>"
-        divergences.append(
+        return [
             Divergence(
                 name,
                 "traffic_arrivals",
                 f"offered streams differ ({len(arrivals_a)} vs {len(arrivals_b)} "
-                f"arrivals); first difference at index {first}: {got} vs {want}",
+                f"arrivals); {_first_difference(arrivals_a, arrivals_b)}",
             )
-        )
-        return divergences
+        ]
+    divergences: List[Divergence] = []
 
     drops_a = {record.request_id for record in a.of_kind(RequestDropped.kind)}
     drops_b = {record.request_id for record in b.of_kind(RequestDropped.kind)}
@@ -753,50 +767,25 @@ def compare_traffic_runs(
             )
         )
 
-    order_a, order_b = _request_completion_order(a), _request_completion_order(b)
-    if sorted(order_a) != sorted(order_b):
-        divergences.append(
-            Divergence(
-                name,
-                "traffic_completion_set",
-                f"completed requests differ: {len(order_a)} ({a.backend}) "
-                f"vs {len(order_b)} ({b.backend})",
-            )
-        )
-    else:
-        disorder = _order_distance(order_a, order_b)
-        if disorder > order_tolerance:
-            divergences.append(
-                Divergence(
-                    name,
-                    "traffic_completion_order",
-                    f"request completion orders differ by {disorder:.3f} normalized "
-                    f"inversions (tolerance {order_tolerance:g})",
-                )
-            )
+    divergences += _compare_completions(
+        a, b, _request_completion_order, order_tolerance, ("traffic_completion_set", "traffic_completion_order"),
+        "requests", "request completion orders",
+    )
 
-    load_a, load_b = _delivered_load_per_ms(a), _delivered_load_per_ms(b)
-    if load_a <= 0 or load_b <= 0:
-        divergences.append(
-            Divergence(
-                name,
-                "traffic_delivered_load",
-                f"non-positive delivered load: {a.backend}={load_a!r} "
-                f"vs {b.backend}={load_b!r}",
-            )
-        )
-    else:
-        ratio = load_b / load_a
-        if not (1.0 / makespan_ratio <= ratio <= makespan_ratio):
-            divergences.append(
-                Divergence(
-                    name,
-                    "traffic_delivered_load",
-                    f"{a.backend}={load_a:.3f}/ms vs {b.backend}={load_b:.3f}/ms "
-                    f"(ratio {ratio:.3f} outside 1/{makespan_ratio:g}..{makespan_ratio:g})",
-                )
-            )
+    divergences += _compare_positive_ratio(
+        a, b, _delivered_load_per_ms(a), _delivered_load_per_ms(b), makespan_ratio,
+        "traffic_delivered_load", "delivered load", "/ms",
+    )
     return divergences
+
+
+def _require_traffic(spec: ScenarioSpec) -> ScenarioSpec:
+    if spec.traffic is None:
+        raise ScenarioError(
+            f"scenario {spec.name!r} has no traffic section; "
+            "the traffic parity check needs an open-loop service scenario"
+        )
+    return spec
 
 
 def verify_traffic(
@@ -813,31 +802,7 @@ def verify_traffic(
     the runs are diffed pairwise against the first backend (see
     :func:`compare_traffic_runs`).
     """
-    spec = _as_spec(spec)
-    if spec.traffic is None:
-        raise ScenarioError(
-            f"scenario {spec.name!r} has no traffic section; "
-            "the traffic parity check needs an open-loop service scenario"
-        )
-    backends = tuple(backends)
-    if len(backends) < 2:
-        raise ScenarioError(
-            f"the traffic parity check needs at least two backends, got {list(backends)}"
-        )
-    unknown = sorted(set(backends) - set(BACKEND_NAMES))
-    if unknown:
-        raise ScenarioError(
-            f"unknown backends {unknown}; available: {sorted(BACKEND_NAMES)}"
-        )
-    baseline = traced_run(spec, backend=backends[0])
-    divergences: List[Divergence] = []
-    for other in backends[1:]:
-        divergences.extend(
-            compare_traffic_runs(
-                baseline,
-                traced_run(spec, backend=other),
-                makespan_ratio=makespan_ratio,
-                order_tolerance=order_tolerance,
-            )
-        )
-    return divergences
+    compare = partial(compare_traffic_runs, makespan_ratio=makespan_ratio, order_tolerance=order_tolerance)
+    return replay(
+        spec, BACKEND_AXIS, backends, [compare], purpose="the traffic parity check", prepare=_require_traffic
+    )[1]

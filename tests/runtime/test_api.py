@@ -51,6 +51,14 @@ class TestRunAndServe:
         result = api.run(payload, backend="detailed")
         assert result.backend == "detailed"
 
+    def test_run_rejects_a_mapping_with_no_name(self):
+        # Only the cache-keyed sweep path names payloads "unnamed"; the
+        # facade insists on an explicit name.
+        payload = get_scenario("smoke").to_dict()
+        del payload["name"]
+        with pytest.raises(ScenarioError, match="scenario.name"):
+            api.run(payload)
+
     def test_serve_returns_a_typed_service_result(self):
         result = api.serve(api.load_scenario("service_smoke"))
         assert result.mode == "service"

@@ -1,6 +1,8 @@
-"""The noun-verb CLI surface: serve, --format json, and deprecated aliases."""
+"""The noun-verb CLI surface: serve, --format json, and the removed aliases."""
 
 import json
+
+import pytest
 
 from repro.runtime.cli import main
 
@@ -130,22 +132,13 @@ class TestSweepStatus:
 
 
 class TestDeprecatedAliases:
-    def test_legacy_list_warns_but_keeps_stdout(self, capsys):
-        assert main(["experiments", "list"]) == 0
-        modern = capsys.readouterr()
-        assert main(["list"]) == 0
-        legacy = capsys.readouterr()
-        assert legacy.out == modern.out
-        assert "deprecated" in legacy.err
-        assert "deprecated" not in modern.err
-
-    def test_legacy_run_warns_but_keeps_stdout(self, tmp_path, capsys):
-        assert main(["experiments", "run", "table1", "--cache-dir", str(tmp_path)]) == 0
-        modern = capsys.readouterr()
-        assert main(["run", "table1", "--cache-dir", str(tmp_path)]) == 0
-        legacy = capsys.readouterr()
-        assert legacy.out == modern.out
-        assert "deprecated" in legacy.err
+    @pytest.mark.parametrize("command", ["list", "run", "report"])
+    def test_legacy_aliases_are_rejected(self, command, capsys):
+        # The pre-noun-verb top-level commands are gone: argparse rejects them.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_legacy_aliases_are_hidden_from_help(self, capsys):
         try:
@@ -155,7 +148,7 @@ class TestDeprecatedAliases:
         help_text = capsys.readouterr().out
         assert "experiments" in help_text
         assert "serve" in help_text
-        # The usage metavar lists only the public nouns.
+        # The usage line lists only the public nouns.
         assert "{backends,experiments,scenarios,sweep,serve,verify,lint}" in help_text
         for line in help_text.splitlines():
             stripped = line.strip()

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import get_scenario, run, run_record, run_scenario
+from repro.scenarios import get_scenario, run, run_record
 from repro.scenarios.run import (
     RESULT_SCHEMA_VERSION,
     SERVICE_SCHEMA_VERSION,
@@ -115,16 +115,6 @@ class TestViewExclusivity:
 
 
 class TestDeprecatedShim:
-    def test_run_scenario_warns_and_matches_run_record(self):
-        spec = get_scenario("smoke")
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            legacy = run_scenario(spec)
-        fresh = run_record(spec)
-        legacy.pop("wall_time_s")
-        fresh.pop("wall_time_s")
-        assert legacy == fresh
-        assert list(legacy) == list(fresh)
-
     def test_run_record_does_not_warn(self):
         import warnings
 

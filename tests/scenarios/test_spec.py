@@ -34,6 +34,15 @@ class TestRoundTrip:
         assert spec.workload.params == {"seed": 9}
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
+    def test_coerce_passes_specs_through_and_names_bare_mappings(self):
+        spec = ScenarioSpec.from_dict(minimal())
+        assert ScenarioSpec.coerce(spec) is spec
+        assert ScenarioSpec.coerce(minimal()) == spec
+        bare = {key: value for key, value in minimal().items() if key != "name"}
+        assert ScenarioSpec.coerce(bare, name="t") == spec
+        with pytest.raises(ScenarioError, match="scenario.name"):
+            ScenarioSpec.coerce(bare)
+
 
 class TestValidation:
     def test_unknown_top_level_key(self):

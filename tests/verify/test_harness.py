@@ -53,6 +53,12 @@ class TestVerifyScenario:
         with pytest.raises(ScenarioError):
             verify_scenario(get_scenario("smoke"), allocators=["incremental", "bogus"])
 
+    def test_rejects_a_mapping_with_no_name(self):
+        payload = get_scenario("smoke").to_dict()
+        del payload["name"]
+        with pytest.raises(ScenarioError, match="scenario.name"):
+            verify_scenario(payload)
+
 
 class TestCompareRuns:
     def test_detects_makespan_and_timeline_divergence(self):
