@@ -1,11 +1,11 @@
 """Allocator scaling at 1000+ concurrent flows: vectorized vs incremental.
 
 The incremental allocator made the 64-channel regime cheap (see
-``bench_flow_scaling.py``), but its per-reallocation cost still walks Python
-dicts over every member flow of every contended resource — at 1000 concurrent
-flows that is minutes per run.  The vectorized allocator packs the same
-flow×resource incidence into :class:`~repro.sim.flowpack.FlowPack`'s CSR
-arrays and runs progressive filling as numpy kernels.  This benchmark pins:
+``bench_flow_scaling.py``), but its pure-Python kernel still loops over every
+member flow of every contended resource in Python — at 1000 concurrent flows
+that is minutes per run.  The vectorized allocator runs the same progressive
+filling as numpy passes over the same :class:`~repro.sim.flowpack.FlowPack`
+buffers.  This benchmark pins:
 
 * **speed** — the vectorized allocator is ≥5x faster than incremental with
   1000 concurrent flows in flight (measured ~20x on the start storm and
@@ -100,9 +100,7 @@ def _start_storm(allocator, pairs):
     for _ in range(2 * len(pairs)):
         assert engine.step()
     wall = time.perf_counter() - start
-    rates = {flow_id: flow.rate for flow_id, flow in transport._flows.items()}
-    if transport._pack is not None:
-        rates = {flow_id: transport._pack.rate_of(flow_id) for flow_id in rates}
+    rates = {flow_id: transport._pack.rate_of(flow_id) for flow_id in transport._flows}
     return wall, transport.active_flows, rates, transport.resource_loads()
 
 

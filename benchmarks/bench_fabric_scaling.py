@@ -123,9 +123,7 @@ def _time_reallocation(transport, reps=REALLOC_REPS):
 
 
 def _flow_rates(transport):
-    if transport._pack is not None:
-        return {fid: transport._pack.rate_of(fid) for fid in transport._flows}
-    return {fid: flow.rate for fid, flow in transport._flows.items()}
+    return {fid: transport._pack.rate_of(fid) for fid in transport._flows}
 
 
 def test_vectorized_speedup_at_10k_flows_on_1024_host_fat_tree():

@@ -2,11 +2,13 @@
 
 The seed allocator recomputed every flow's max-min fair rate from scratch over
 every flow and resource on every start/completion event — O(flows² ·
-resources) per event.  The incremental allocator maintains a persistent
-resource→flows index so each progressive-filling iteration walks only the
-flows registered on each resource; the vectorized allocator goes further and
-runs the same filling as numpy kernels over :class:`~repro.sim.flowpack`'s
-CSR arrays.  This benchmark pins down the two claims that matter:
+resources) per event; it survives as the ``reference`` oracle.  The
+incremental allocator's pure-Python kernel builds each resource's member
+list once per reallocation and re-sums only the resources whose members
+froze, so each progressive-filling round walks only the flows registered on
+them; the vectorized allocator runs the same filling as numpy passes over
+the same :class:`~repro.sim.flowpack.FlowPack` buffers.  This benchmark pins
+down the two claims that matter:
 
 * **speed** — the vectorized allocator is ≥12x faster than the from-scratch
   reference on a Home Base contention scenario with 64 concurrent channels

@@ -1,15 +1,15 @@
 """FLT — float discipline in the physics and verification layers.
 
 The verify harness documents exactly which comparisons are bitwise (allocator
-parity) and which are toleranced (backend parity at 1e-6, utilisation at
-1e-9).  Bare ``==``/``!=`` on float quantities outside those documented
-constants is how tolerance bugs creep in:
+parity, utilisation included) and which are toleranced (backend fidelity
+parity at 1e-6).  Bare ``==``/``!=`` on float quantities outside those
+documented constants is how tolerance bugs creep in:
 
 * **FLT001** — equality comparison where a side is a float literal or a
   float-named quantity (``*_us``, ``*fidelity``, ``*rate``, ``makespan*``,
   ``ratio``, ``*_tol*``).  Either route it through the documented tolerance
-  constants (``FIDELITY_ABS_TOL``, ``UTILISATION_REL_TOL``) / ``math.isclose``,
-  or suppress with a justification naming the bitwise contract relied on;
+  constant (``FIDELITY_ABS_TOL``) / ``math.isclose``, or suppress with a
+  justification naming the bitwise contract relied on;
 * **FLT002** — ``validate_*``/``clamp_*`` entry points in the physics layer
   must reject non-finite values (``math.isfinite``/``math.isnan``): NaN
   compares false against every bound, so range checks alone wave it straight
@@ -80,9 +80,9 @@ class FloatDisciplineChecker(Checker):
         Rule(
             "FLT001",
             "no bare ==/!= on float quantities in repro.verify/repro.physics",
-            "Float agreement goes through the documented tolerance constants "
-            "(FIDELITY_ABS_TOL, UTILISATION_REL_TOL) or math.isclose; sites "
-            "that *rely* on bitwise equality suppress with the contract named.",
+            "Float agreement goes through the documented tolerance constant "
+            "(FIDELITY_ABS_TOL) or math.isclose; sites that *rely* on "
+            "bitwise equality suppress with the contract named.",
         ),
         Rule(
             "FLT002",

@@ -14,8 +14,8 @@ machine stack consults:
 * the planner's per-endpoint-pair channel plans,
 * the machine's per-distance flow demand profiles, and
 * the fluid transport's per-endpoint-pair demand vectors — exactly the row
-  content (resource keys + works) the vectorized allocator packs into its
-  CSR arrays, so repeated points also skip rebuilding that structure.
+  content (resource keys + works) the transport appends to its flow store,
+  so repeated points also skip rebuilding that structure.
 
 Every cached object is a pure function of the structural key (the exclusions
 below are each argued at the definition), so adoption can only skip

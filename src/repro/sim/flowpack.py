@@ -1,139 +1,104 @@
-"""Flat-array data plane for the ``vectorized`` max-min allocator.
+"""The fluid transport's one per-flow store, and its two rate kernels.
 
-:class:`FlowPack` keeps the flow×resource incidence of the fluid transport as
-CSR-style numpy index arrays instead of per-flow Python dicts:
+:class:`FlowPack` holds every in-flight flow of
+:class:`~repro.sim.flow.FlowTransport`, whichever allocator runs, in flat
+stdlib ``array`` buffers (so importing it needs no numpy):
 
-``entry_row`` / ``entry_col`` / ``entry_work``
-    One entry per (flow, resource) demand, appended flow-major.  Flow ids are
-    monotonically increasing (``TransportBackend._next_flow_id``), so rows —
-    and therefore entries — are always sorted by flow id.  That ordering is
-    the whole bitwise-parity argument: every per-resource accumulation walks
-    entries in flow-id order, exactly the order ``_max_min_rates`` walks its
-    member dicts.
-``row_*``
-    Per-flow state (``remaining``, ``rate``, ``start_us``, ``floor_us`` and
-    the ``finish`` time fixed at the last reallocation) as float64 arrays.
-    In vectorized mode these arrays are authoritative; the ``ChannelFlow``
-    objects' scalar fields are not advanced.
-``col_*``
-    Interned resource keys with per-column capacity.  Columns are never
-    re-numbered while referenced (their count is bounded by the topology);
-    :meth:`compact` drops columns only when no surviving entry uses them.
+``entry_col`` / ``entry_work`` and ``row_ptr``
+    One entry per (flow, resource) demand, appended flow-major; row ``r``
+    owns entries ``row_ptr[r]:row_ptr[r + 1]``.  Flow ids are monotonically
+    increasing (``TransportBackend._next_flow_id``), so rows — and therefore
+    entries — are always sorted by flow id.  That ordering is the whole
+    bitwise-parity argument: every per-resource accumulation, in either
+    kernel, walks entries in flow-id order, which is the order the
+    ``reference`` oracle sums ``ChannelFlow.demands`` in.
+``active`` / ``remaining`` / ``rate`` / ``start_us`` / ``floor_us`` / ``finish``
+    Per-flow fluid state; ``finish`` is the completion time fixed at the last
+    reallocation.  A removed flow's row is tombstoned (inactive, rate and
+    remaining 0, finish inf) until :meth:`FlowPack.compact` drops it.
+``col_keys`` / ``col_cap`` / ``col_kind``
+    Interned resource keys with their capacity and kind.  Columns are never
+    dropped (their number is bounded by the topology), so ``kind_capacity``,
+    the per-kind capacity totals, grows exactly once per resource, in
+    first-use order.
+``kind_rate``
+    Per-kind sum of ``rate × work`` over live flows, moved by ``delta × work``
+    per entry, in entry order, whenever a rate changes or a flow leaves.  The
+    transport's usage integral advances from it, so every allocator reports
+    bitwise-equal utilisation.
 
-Summation uses ``np.bincount(cols, weights=w)``, which accumulates strictly
-in input-array order (a sequential C loop), so per-resource demand sums are
-bitwise identical to the incremental allocator's Python loop at every size.
-``np.add.reduceat`` — the other obvious kernel — switches to pairwise
-summation above ~128 elements and is *not* bitwise-stable against the
-sequential reference, which is why it is not used here.
-
-All values returned to the caller are converted to Python scalars so numpy
-types never leak into engine timestamps or trace records.
+:meth:`FlowPack.max_min_rates` is the pure-Python progressive-filling kernel
+(the ``incremental`` allocator).  :class:`NumpyFlowPack` (``vectorized``)
+replaces it, and the per-row passes a storm repeats (advancing the remaining
+work, storing rates, fixing finish times), with numpy over zero-copy
+``np.frombuffer`` views.  The views are taken per call and dropped before it
+returns, because an ``array`` that exports a buffer cannot grow.  Its demand sums use ``np.bincount(cols, weights=w)``, which
+accumulates strictly in input order (a sequential C loop), and its per-kind
+rate deltas ``np.add.at``, which is sequential too; ``np.add.reduceat`` would
+switch to pairwise summation above ~128 elements, so it is not used.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from array import array
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SimulationError
 
-ResourceKey = Tuple[str, object]
+#: Resource identifiers are ``(kind, *coordinates)`` tuples.
+ResourceKey = Tuple[Any, ...]
 
-#: Compact the row/entry arrays when tombstoned rows outnumber live ones and
-#: the pack is big enough for the rebuild to pay for itself.
-_COMPACT_MIN_ROWS = 64
+#: Compact once tombstoned rows outnumber live ones, so every per-row pass
+#: stays proportional to the live flows at amortised O(1) per removal — but
+#: not below this many tombstones: on small packs one compaction costs about
+#: what 40 tombstoned rows add to a reallocation's per-row passes.
+_COMPACT_MIN_DEAD = 8
 
-#: Initial capacity for the growable row/entry buffers.
-_INITIAL_CAPACITY = 16
+#: Per-row buffers, in the order :meth:`FlowPack.compact` filters them.
+_ROW_FIELDS = ("row_flow_id", "active", "remaining", "rate", "start_us", "floor_us", "finish")
 
-
-def _grown(array: np.ndarray, needed: int) -> np.ndarray:
-    """Return ``array`` or a doubled-capacity copy that fits ``needed``."""
-    capacity = array.shape[0]
-    if needed <= capacity:
-        return array
-    new_capacity = max(needed, capacity * 2, _INITIAL_CAPACITY)
-    grown = np.zeros((new_capacity, *array.shape[1:]), dtype=array.dtype)
-    grown[:capacity] = array
-    return grown
+_INF = float("inf")
 
 
 class FlowPack:
-    """Flow×resource incidence and per-flow fluid state as flat arrays."""
+    """Per-flow fluid state and flow×resource incidence in ``array`` buffers."""
 
-    def __init__(
-        self,
-        capacity_of: Callable[[ResourceKey], float],
-        kinds: Iterable[str],
-    ) -> None:
+    def __init__(self, capacity_of: Callable[[ResourceKey], float]) -> None:
         self._capacity_of = capacity_of
-        self.kinds: Tuple[str, ...] = tuple(kinds)
-        self._kind_index = {kind: i for i, kind in enumerate(self.kinds)}
-        # Columns: interned resource keys.
         self._col_of_key: Dict[ResourceKey, int] = {}
         self.col_keys: List[ResourceKey] = []
-        self._col_cap = np.zeros(0, dtype=np.float64)
-        # Rows: per-flow state (buffers sized >= n_rows; slice before use).
+        self.col_cap = array("d")
+        self.col_kind = array("q")
+        #: Resource kinds in first-use order, with per-kind totals.
+        self.kinds: List[str] = []
+        self.kind_capacity: List[float] = []
+        self.kind_rate: List[float] = []
         self._row_of_flow: Dict[int, int] = {}
-        self.n_rows = 0
-        self._row_flow_id = np.zeros(0, dtype=np.int64)
-        self._row_active = np.zeros(0, dtype=bool)
-        self._remaining = np.zeros(0, dtype=np.float64)
-        self._rate = np.zeros(0, dtype=np.float64)
-        self._start_us = np.zeros(0, dtype=np.float64)
-        self._floor_us = np.zeros(0, dtype=np.float64)
-        self._finish = np.zeros(0, dtype=np.float64)
-        self._row_kind_work = np.zeros((0, len(self.kinds)), dtype=np.float64)
-        # Entries: flow-major (row, col, work) triples.
-        self.n_entries = 0
-        self._entry_row = np.zeros(0, dtype=np.int64)
-        self._entry_col = np.zeros(0, dtype=np.int64)
-        self._entry_work = np.zeros(0, dtype=np.float64)
+        self.row_flow_id = array("q")
+        self.active = array("B")
+        self.remaining = array("d")
+        self.rate = array("d")
+        self.start_us = array("d")
+        self.floor_us = array("d")
+        self.finish = array("d")
+        self.row_ptr = array("q", [0])
+        self.entry_col = array("q")
+        self.entry_work = array("d")
         self._dead_rows = 0
-
-    # ------------------------------------------------------------------
-    # Introspection (tests and transport queries)
 
     @property
     def n_flows(self) -> int:
         """Number of live (non-tombstoned) flows."""
-        return self.n_rows - self._dead_rows
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.col_keys)
+        return len(self._row_of_flow)
 
     def row_of(self, flow_id: int) -> int:
         return self._row_of_flow[flow_id]
 
-    def flow_id_at(self, row: int) -> int:
-        return int(self._row_flow_id[row])
-
     def rate_of(self, flow_id: int) -> float:
-        return float(self._rate[self._row_of_flow[flow_id]])
+        return self.rate[self._row_of_flow[flow_id]]
 
     def remaining_of(self, flow_id: int) -> float:
-        return float(self._remaining[self._row_of_flow[flow_id]])
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """Copies of the logical (sliced) arrays — for tests and snapshots."""
-        n, e = self.n_rows, self.n_entries
-        return {
-            "row_flow_id": self._row_flow_id[:n].copy(),
-            "row_active": self._row_active[:n].copy(),
-            "remaining": self._remaining[:n].copy(),
-            "rate": self._rate[:n].copy(),
-            "start_us": self._start_us[:n].copy(),
-            "floor_us": self._floor_us[:n].copy(),
-            "finish": self._finish[:n].copy(),
-            "row_kind_work": self._row_kind_work[:n].copy(),
-            "entry_row": self._entry_row[:e].copy(),
-            "entry_col": self._entry_col[:e].copy(),
-            "entry_work": self._entry_work[:e].copy(),
-            "col_cap": self._col_cap[: self.n_cols].copy(),
-        }
+        return self.remaining[self._row_of_flow[flow_id]]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -143,11 +108,10 @@ class FlowPack:
         flow_id: int,
         demands: Dict[ResourceKey, float],
         *,
-        remaining: float = 1.0,
         start_us: float = 0.0,
         floor_us: float = 0.0,
-    ) -> int:
-        """Append a flow row plus its demand entries; returns the row index.
+    ) -> None:
+        """Append a flow row (remaining work 1, rate 0) and its demand entries.
 
         Rows must arrive in increasing flow-id order (the transport's flow
         ids are monotonic) — that invariant is what keeps every per-column
@@ -155,312 +119,337 @@ class FlowPack:
         """
         if flow_id in self._row_of_flow:
             raise SimulationError(f"flow {flow_id} already packed")
-        if self.n_rows and flow_id <= int(self._row_flow_id[self.n_rows - 1]):
+        if self.row_flow_id and flow_id <= self.row_flow_id[-1]:
             raise SimulationError(
                 f"flow ids must be appended in increasing order; got {flow_id} "
-                f"after {int(self._row_flow_id[self.n_rows - 1])}"
+                f"after {self.row_flow_id[-1]}"
             )
-        row = self.n_rows
-        needed = row + 1
-        self._row_flow_id = _grown(self._row_flow_id, needed)
-        self._row_active = _grown(self._row_active, needed)
-        self._remaining = _grown(self._remaining, needed)
-        self._rate = _grown(self._rate, needed)
-        self._start_us = _grown(self._start_us, needed)
-        self._floor_us = _grown(self._floor_us, needed)
-        self._finish = _grown(self._finish, needed)
-        self._row_kind_work = _grown(self._row_kind_work, needed)
-        self._row_flow_id[row] = flow_id
-        self._row_active[row] = True
-        self._remaining[row] = remaining
-        self._rate[row] = 0.0
-        self._start_us[row] = start_us
-        self._floor_us[row] = floor_us
-        self._finish[row] = np.inf
-        self._row_kind_work[row] = 0.0
-        base = self.n_entries
-        needed_entries = base + len(demands)
-        self._entry_row = _grown(self._entry_row, needed_entries)
-        self._entry_col = _grown(self._entry_col, needed_entries)
-        self._entry_work = _grown(self._entry_work, needed_entries)
-        for offset, (key, work) in enumerate(demands.items()):
-            col = self._intern(key)
-            self._entry_row[base + offset] = row
-            self._entry_col[base + offset] = col
-            self._entry_work[base + offset] = work
-            self._row_kind_work[row, self._kind_index[key[0]]] += work
-        self.n_entries = needed_entries
-        self.n_rows = needed
+        row = len(self.row_flow_id)
         self._row_of_flow[flow_id] = row
-        return row
+        self.row_flow_id.append(flow_id)
+        self.active.append(1)
+        self.remaining.append(1.0)
+        self.rate.append(0.0)
+        self.start_us.append(start_us)
+        self.floor_us.append(floor_us)
+        self.finish.append(_INF)
+        col_of_key = self._col_of_key
+        cols = [col_of_key.get(key) for key in demands]
+        if None in cols:
+            cols = [self._intern(key) for key in demands]
+        self.entry_col.extend(cols)
+        self.entry_work.extend(demands.values())
+        self.row_ptr.append(len(self.entry_col))
 
     def _intern(self, key: ResourceKey) -> int:
         col = self._col_of_key.get(key)
         if col is None:
-            col = len(self.col_keys)
-            self._col_of_key[key] = col
+            col = self._col_of_key[key] = len(self.col_keys)
             self.col_keys.append(key)
-            self._col_cap = _grown(self._col_cap, col + 1)
-            self._col_cap[col] = self._capacity_of(key)
+            capacity = self._capacity_of(key)
+            self.col_cap.append(capacity)
+            if key[0] not in self.kinds:
+                self.kinds.append(key[0])
+                self.kind_capacity.append(0.0)
+                self.kind_rate.append(0.0)
+            kind = self.kinds.index(key[0])
+            self.col_kind.append(kind)
+            self.kind_capacity[kind] += capacity
         return col
+
+    def _charge(self, row: int, delta: float) -> None:
+        """Move ``kind_rate`` by ``delta × work`` for each of a row's entries."""
+        kind_rate, col_kind, cols, works = self.kind_rate, self.col_kind, self.entry_col, self.entry_work
+        for e in range(self.row_ptr[row], self.row_ptr[row + 1]):
+            kind_rate[col_kind[cols[e]]] += delta * works[e]
 
     def remove_flow(self, flow_id: int) -> None:
         """Tombstone a flow's row; entries stay until the next compaction."""
         row = self._row_of_flow.pop(flow_id)
-        self._row_active[row] = False
-        self._rate[row] = 0.0
-        self._remaining[row] = 0.0
-        self._finish[row] = np.inf
+        self._charge(row, -self.rate[row])
+        self.active[row] = 0
+        self.rate[row] = 0.0
+        self.remaining[row] = 0.0
+        self.finish[row] = _INF
         self._dead_rows += 1
-        if self._dead_rows * 2 > self.n_rows and self.n_rows >= _COMPACT_MIN_ROWS:
+        if self._dead_rows >= _COMPACT_MIN_DEAD and self._dead_rows * 2 > len(self.active):
             self.compact()
 
     def compact(self) -> None:
-        """Drop tombstoned rows, their entries and now-unused columns.
+        """Drop tombstoned rows and their entries; columns stay.
 
-        Surviving rows keep their relative (flow-id) order and surviving
-        columns are re-interned in first-use order of the surviving entries —
-        the same layout a fresh :meth:`rebuild` would produce, which is what
-        the round-trip property test pins.  Compaction is unobservable to the
-        allocator: every kernel either masks dead rows or accumulates
-        per-column (and the within-column entry order is preserved).
+        Surviving rows keep their relative (flow-id) order and their entries
+        theirs, so compaction is unobservable to the kernels: every
+        per-column accumulation still walks the same works in the same order.
         """
-        n, e = self.n_rows, self.n_entries
-        live = self._row_active[:n]
-        old_rows = np.nonzero(live)[0]
-        new_row_of_old = np.full(n, -1, dtype=np.int64)
-        new_row_of_old[old_rows] = np.arange(old_rows.shape[0])
-        keep_entry = live[self._entry_row[:e]]
-        entry_row = new_row_of_old[self._entry_row[:e][keep_entry]]
-        entry_old_col = self._entry_col[:e][keep_entry]
-        # Re-intern surviving columns in first-use order.
-        old_keys, old_cap = self.col_keys, self._col_cap
-        self._col_of_key = {}
-        self.col_keys = []
-        self._col_cap = np.zeros(0, dtype=np.float64)
-        entry_col = np.zeros(entry_old_col.shape[0], dtype=np.int64)
-        for i, old_col in enumerate(entry_old_col):
-            key = old_keys[int(old_col)]
-            col = self._col_of_key.get(key)
-            if col is None:
-                col = len(self.col_keys)
-                self._col_of_key[key] = col
-                self.col_keys.append(key)
-                self._col_cap = _grown(self._col_cap, col + 1)
-                self._col_cap[col] = old_cap[int(old_col)]
-            entry_col[i] = col
-        self._entry_row = entry_row
-        self._entry_col = entry_col
-        self._entry_work = self._entry_work[:e][keep_entry].copy()
-        self.n_entries = entry_row.shape[0]
-        self._row_flow_id = self._row_flow_id[:n][live].copy()
-        self._row_active = self._row_active[:n][live].copy()
-        self._remaining = self._remaining[:n][live].copy()
-        self._rate = self._rate[:n][live].copy()
-        self._start_us = self._start_us[:n][live].copy()
-        self._floor_us = self._floor_us[:n][live].copy()
-        self._finish = self._finish[:n][live].copy()
-        self._row_kind_work = self._row_kind_work[:n][live].copy()
-        self.n_rows = old_rows.shape[0]
+        live = list(self._row_of_flow.values())
+        for name in _ROW_FIELDS:
+            old = getattr(self, name)
+            setattr(self, name, array(old.typecode, [old[row] for row in live]))
+        ptr, cols, works = self.row_ptr, self.entry_col, self.entry_work
+        self.row_ptr, self.entry_col, self.entry_work = array("q", [0]), array("q"), array("d")
+        for row in live:
+            self.entry_col += cols[ptr[row] : ptr[row + 1]]
+            self.entry_work += works[ptr[row] : ptr[row + 1]]
+            self.row_ptr.append(len(self.entry_col))
+        self._row_of_flow = {flow_id: row for row, flow_id in enumerate(self.row_flow_id)}
         self._dead_rows = 0
-        self._row_of_flow = {
-            int(fid): row for row, fid in enumerate(self._row_flow_id[: self.n_rows])
-        }
-
-    def rebuild(self, demands_of: Callable[[int], Dict[ResourceKey, float]]) -> "FlowPack":
-        """Fresh pack holding only the live flows, re-interned from scratch."""
-        pack = FlowPack(self._capacity_of, self.kinds)
-        for row in range(self.n_rows):
-            if not self._row_active[row]:
-                continue
-            flow_id = int(self._row_flow_id[row])
-            pack.add_flow(
-                flow_id,
-                demands_of(flow_id),
-                remaining=float(self._remaining[row]),
-                start_us=float(self._start_us[row]),
-                floor_us=float(self._floor_us[row]),
-            )
-            new_row = pack._row_of_flow[flow_id]
-            pack._rate[new_row] = self._rate[row]
-            pack._finish[new_row] = self._finish[row]
-        return pack
 
     # ------------------------------------------------------------------
-    # Fluid-state kernels
+    # Fluid state
 
     def advance(self, elapsed: float) -> None:
-        """``remaining -= rate * elapsed`` clamped at 0, over all rows.
+        """``remaining -= rate × elapsed`` clamped at 0, over all rows.
 
-        Tombstoned rows have rate 0 and remaining 0, so the full-array form
-        is exact.  Elementwise float64 ops match the per-flow Python
-        arithmetic bitwise.
+        Rows at rate 0 (stalled or tombstoned) are skipped: for them the
+        update is the identity.
         """
-        n = self.n_rows
-        remaining = self._remaining[:n]
-        np.maximum(remaining - self._rate[:n] * elapsed, 0.0, out=remaining)
+        remaining = self.remaining
+        for row, rate in enumerate(self.rate):
+            if rate:
+                remaining[row] = max(remaining[row] - rate * elapsed, 0.0)
 
-    def max_min_rates(self, saturation_eps: float) -> np.ndarray:
-        """Progressive-filling max-min rates, bitwise-equal to the dict loop.
+    def max_min_rates(self, saturation_eps: float) -> Sequence[float]:
+        """Progressive-filling max-min rate per row (0 for tombstones).
 
-        Per iteration: mask entries of frozen rows to exact 0.0 work, sum
-        per-column demand with ``bincount`` (sequential, flow-id order),
-        take the min ``cap_left / denom`` bottleneck delta (min over floats
-        is order-independent; no NaNs can occur since denom > 0), credit
-        every unfrozen row, charge every contended column, and freeze the
-        member rows of columns that crossed the saturation epsilon.
+        Column member lists are built from the live entries in entry
+        (flow-id) order.  Each round takes the bottleneck delta over
+        the contended columns, charges them, freezes the members of the
+        columns that crossed ``saturation_eps``, and re-sums only the columns
+        those frozen flows touch.  Every unfrozen flow holds
+        the same running sum of the round deltas, so a flow's rate is that
+        sum when it freezes: the float program of the oracle, which adds
+        each delta to each unfrozen flow in turn.
         """
-        n, e = self.n_rows, self.n_entries
-        rates = np.zeros(n, dtype=np.float64)
-        alive = self._row_active[:n].copy()
-        active = int(np.count_nonzero(alive))
-        if not active:
+        entry_col, entry_work, row_ptr = self.entry_col, self.entry_work, self.row_ptr
+        rates = [0.0] * len(self.active)
+        members: Dict[int, List[Tuple[int, float]]] = {}
+        for row in self._row_of_flow.values():
+            start, stop = row_ptr[row], row_ptr[row + 1]
+            for col, work in zip(entry_col[start:stop], entry_work[start:stop]):
+                bucket = members.get(col)
+                if bucket is None:
+                    members[col] = [(row, work)]
+                else:
+                    bucket.append((row, work))
+        cap_left = {col: self.col_cap[col] for col in members}
+        denom: Dict[int, float] = {}
+        for col, bucket in members.items():
+            d = 0.0
+            for _, work in bucket:
+                d += work
+            if d > 0.0:
+                denom[col] = d
+        unfrozen = bytearray(self.active)
+        live = self.n_flows
+        level = 0.0
+        while live:
+            if not denom:
+                # No shared resource constrains the remaining flows; give them
+                # an effectively unconstrained rate (their floor dominates).
+                level += 1.0
+                break
+            best_delta = min([cap_left[col] / d for col, d in denom.items()])
+            level += best_delta
+            frozen: Set[int] = set()
+            for col, d in denom.items():
+                left = cap_left[col] = cap_left[col] - best_delta * d
+                if left <= saturation_eps:
+                    frozen.update([row for row, _ in members[col]])
+            if not frozen:
+                break
+            live -= len(frozen)
+            dirty: Set[int] = set()
+            for row in sorted(frozen):
+                unfrozen[row] = 0
+                rates[row] = level
+                dirty.update(entry_col[row_ptr[row] : row_ptr[row + 1]])
+            for col in sorted(dirty):
+                bucket = members[col] = [member for member in members[col] if unfrozen[member[0]]]
+                d = 0.0
+                for _, work in bucket:
+                    d += work
+                if d > 0.0:
+                    denom[col] = d
+                else:
+                    denom.pop(col, None)
+        for row, still in enumerate(unfrozen):
+            if still:
+                rates[row] = level
+        return rates
+
+    def store_rates(self, rates: Sequence[float]) -> List[int]:
+        """Store new per-row rates; return the rows whose rate changed.
+
+        Rows come back in ascending (flow-id) order — the ``FlowRateChanged``
+        stream — and each change moves ``kind_rate`` in that order.
+        """
+        changed = []
+        old = self.rate
+        for row, new in enumerate(rates):
+            if new != old[row]:
+                changed.append(row)
+                self._charge(row, new - old[row])
+                old[row] = new
+        return changed
+
+    def set_finish_times(self, now: float, completion_eps: float) -> None:
+        """Fix every live row's finish time from the current rates.
+
+        ``remaining <= eps`` finishes now; ``rate <= 0`` is stalled (inf);
+        otherwise ``now + remaining / rate``; all clamped to the channel
+        floor.  Called once per reallocation, so rows added since stay at
+        inf (no completion is armed before a flow's first rate).
+        """
+        self.finish = array(
+            "d",
+            [
+                max(
+                    now
+                    if left <= completion_eps
+                    else (now + left / rate if rate > 0.0 else _INF),
+                    start + floor,
+                )
+                if alive
+                else _INF
+                for alive, left, rate, start, floor in zip(
+                    self.active, self.remaining, self.rate, self.start_us, self.floor_us
+                )
+            ],
+        )
+
+    def next_completion(self, spent: Set[int]) -> Optional[Tuple[int, float]]:
+        """Earliest stored finish as ``(flow_id, finish_time)``, or None.
+
+        Reads the finish times *stored* at the last reallocation, never ones
+        recomputed from the current ``remaining``: a recomputation can round
+        a nearly-done flow onto ``now`` (or off it) between a completion and
+        the instant's deferred reallocation.  Ties resolve to the lowest row,
+        i.e. the lowest flow id, and the transport re-arms after each
+        completion, so tied flows fire one by one in flow-id order.  Flows in
+        ``spent`` fired and no-op'd since the last reallocation; they are
+        skipped until it re-arms them.
+        """
+        finish = self.finish
+        if spent:
+            finish = array("d", finish)
+            for flow_id in spent:
+                finish[self._row_of_flow[flow_id]] = _INF
+        best = min(finish, default=_INF)
+        if best == _INF:
+            return None
+        return self.row_flow_id[finish.index(best)], best
+
+    def loads(self) -> Dict[ResourceKey, float]:
+        """Per-resource load ``sum(rate × work)`` over live flows, in flow-id order."""
+        sums: Dict[int, float] = {}
+        for row in self._row_of_flow.values():
+            rate, start, stop = self.rate[row], self.row_ptr[row], self.row_ptr[row + 1]
+            for col, work in zip(self.entry_col[start:stop], self.entry_work[start:stop]):
+                sums[col] = sums.get(col, 0.0) + rate * work
+        return {self.col_keys[col]: load for col, load in sums.items() if load > 0.0}
+
+
+class NumpyFlowPack(FlowPack):
+    """:class:`FlowPack` with numpy kernels (the ``vectorized`` allocator)."""
+
+    def __init__(self, capacity_of: Callable[[ResourceKey], float]) -> None:
+        import numpy  # noqa: F401 -- fail at construction, not mid-run
+
+        super().__init__(capacity_of)
+
+    def _entry_rows(self) -> Any:
+        """Each entry's row index, expanded from ``row_ptr``."""
+        import numpy as np
+
+        return np.repeat(np.arange(len(self.active)), np.diff(np.frombuffer(self.row_ptr, dtype=np.int64)))
+
+    def max_min_rates(self, saturation_eps: float) -> Any:
+        """Progressive filling as whole-array passes, bitwise-equal to the base.
+
+        Per round: sum per-column demand over the unfrozen entries with
+        ``bincount`` (sequential, flow-id order), take the min ``cap_left /
+        denom`` bottleneck delta (min over floats is order-independent), add
+        it to the running level, charge every contended column, and freeze
+        the member rows of columns that crossed the saturation epsilon at
+        that level.  The entry arrays shrink to unfrozen rows as they freeze;
+        a dropped entry would have added an exact +0.0 to its column's
+        partial sum.
+        """
+        import numpy as np
+
+        alive = np.frombuffer(self.active, dtype=np.bool_).copy()
+        rates = np.zeros(alive.shape[0])
+        if not alive.any():
             return rates
-        n_cols = self.n_cols
-        cap_left = self._col_cap[:n_cols].copy()
-        # Working copies of the entry arrays, shrunk to live-row entries as
-        # rows freeze so each round costs O(live entries), not O(all
-        # entries).  Dropping a dead entry is bitwise-neutral: it would have
-        # contributed an exact +0.0 to its column's bincount partial sum, and
-        # partial sums of non-negative works are never -0.0, so ``s + 0.0``
-        # is the bitwise identity here.
-        keep = alive[self._entry_row[:e]]
-        erow = self._entry_row[:e][keep]
-        ecol = self._entry_col[:e][keep]
-        ework = self._entry_work[:e][keep]
-        for _ in range(active + 1):
+        cap_left = np.frombuffer(self.col_cap).copy()
+        n_cols = cap_left.shape[0]
+        erow = self._entry_rows()
+        keep = alive[erow]
+        erow = erow[keep]
+        ecol = np.frombuffer(self.entry_col, dtype=np.int64)[keep]
+        ework = np.frombuffer(self.entry_work)[keep]
+        level = 0.0
+        while True:
             denom = np.bincount(ecol, weights=ework, minlength=n_cols)
             contended = denom > 0.0
             if not contended.any():
-                rates[alive] += 1.0
+                level += 1.0
                 break
-            best_delta = np.min(cap_left[contended] / denom[contended])
-            rates[alive] += best_delta
+            best_delta = float((cap_left[contended] / denom[contended]).min())
+            level += best_delta
             cap_left[contended] -= best_delta * denom[contended]
             saturated = contended & (cap_left <= saturation_eps)
             if not saturated.any():
                 break
-            frozen_rows = erow[saturated[ecol]]
-            alive[frozen_rows] = False
+            frozen = erow[saturated[ecol]]
+            alive[frozen] = False
+            rates[frozen] = level
             if not alive.any():
                 break
             keep = alive[erow]
             erow = erow[keep]
             ecol = ecol[keep]
             ework = ework[keep]
+        rates[alive] = level
         return rates
 
-    def reallocate(
-        self, saturation_eps: float, *, collect_changes: bool = False
-    ) -> List[Tuple[int, float]]:
-        """Run the kernel and store the new rates; optionally list changes.
-
-        Returns ``(flow_id, new_rate)`` pairs for live rows whose rate
-        changed bitwise, in ascending flow-id order — the exact stream the
-        dict-based allocators feed to ``FlowRateChanged``.  The list is only
-        materialised when ``collect_changes`` (i.e. the trace wants it).
-        """
-        n = self.n_rows
-        new_rates = self.max_min_rates(saturation_eps)
-        changes: List[Tuple[int, float]] = []
-        if collect_changes:
-            changed = np.nonzero((new_rates != self._rate[:n]) & self._row_active[:n])[0]
-            flow_ids = self._row_flow_id[:n]
-            changes = [(int(flow_ids[row]), float(new_rates[row])) for row in changed]
-        self._rate[:n] = new_rates
-        return changes
-
-    def kind_rate_sums(self) -> Dict[str, float]:
-        """Aggregate ``rate × work`` per resource kind (utilisation integrals).
-
-        Dot-product accumulation order differs from the incremental
-        allocator's running ±delta updates, but utilisation is compared at
-        1e-9 relative tolerance, not bitwise.
-        """
-        n = self.n_rows
-        totals = self._rate[:n] @ self._row_kind_work[:n]
-        return {kind: float(totals[i]) for i, kind in enumerate(self.kinds)}
-
-    def loads(self) -> Dict[ResourceKey, float]:
-        """Per-resource load ``sum(rate × work)`` over live flows.
-
-        bincount accumulates in entry (= flow-id) order, matching the
-        member-dict walk of the dict-based allocators bitwise.
-        """
-        n, e = self.n_rows, self.n_entries
-        erow = self._entry_row[:e]
-        weights = np.where(
-            self._row_active[:n][erow], self._rate[:n][erow] * self._entry_work[:e], 0.0
-        )
-        sums = np.bincount(self._entry_col[:e], weights=weights, minlength=self.n_cols)
-        return {
-            self.col_keys[col]: float(sums[col])
-            for col in range(self.n_cols)
-            if sums[col] > 0.0
-        }
-
     def set_finish_times(self, now: float, completion_eps: float) -> None:
-        """Fix every live row's finish time from the current rates.
+        """The base finish-time pass, elementwise over the rows."""
+        import numpy as np
 
-        Per live row, bitwise-identical to ``_schedule_completion``:
-        ``remaining <= eps`` finishes now; ``rate <= 0`` is stalled (inf);
-        otherwise ``now + remaining / rate``; all clamped to the channel
-        floor.  Called once per reallocation; rows added since stay at inf
-        (no completion is armed before their first rate).
-        """
-        n = self.n_rows
-        remaining = self._remaining[:n]
-        rate = self._rate[:n]
+        remaining = np.frombuffer(self.remaining)
+        rate = np.frombuffer(self.rate)
         with np.errstate(divide="ignore", invalid="ignore"):
             finish = now + remaining / rate
         finish = np.where(remaining <= completion_eps, now, finish)
         finish = np.where((rate <= 0.0) & (remaining > completion_eps), np.inf, finish)
-        finish = np.maximum(finish, self._start_us[:n] + self._floor_us[:n])
-        self._finish[:n] = np.where(self._row_active[:n], finish, np.inf)
+        finish = np.maximum(finish, np.frombuffer(self.start_us) + np.frombuffer(self.floor_us))
+        np.frombuffer(self.finish)[:] = np.where(
+            np.frombuffer(self.active, dtype=np.bool_), finish, np.inf
+        )
 
-    def next_completion(
-        self, *, exclude_flow_ids: Optional[Iterable[int]] = None
-    ) -> Optional[Tuple[int, float]]:
-        """Earliest completion as ``(flow_id, finish_time)``, or None.
+    def store_rates(self, rates: Any) -> List[int]:
+        """The base store as array passes.  ``np.add.at`` applies the
+        per-entry ``delta × work`` terms to ``kind_rate`` one by one in entry
+        order; an unchanged row's entries add an exact 0.0."""
+        import numpy as np
 
-        Reads the finish times *stored* by :meth:`set_finish_times` at the
-        last reallocation, never ones recomputed from the current
-        ``remaining``: between a completion and the instant's deferred
-        reallocation the per-flow heap fires exactly those stored times, and
-        a recomputation can round a nearly-done flow onto ``now`` (or off
-        it), firing a completion the heap would not.  ``argmin`` ties
-        resolve to the lowest row index, i.e. the lowest flow id — and the
-        completion chain re-arms after each event, so tied flows still fire
-        one by one in flow-id (priority) order.  ``exclude_flow_ids`` masks
-        flows whose (virtual) completion event is spent until the next
-        reallocation.
-        """
-        n = self.n_rows
-        if not n:
-            return None
-        finish = self._finish[:n]
-        if exclude_flow_ids is not None:
-            finish = finish.copy()
-            for flow_id in exclude_flow_ids:
-                row = self._row_of_flow.get(flow_id)
-                if row is not None:
-                    finish[row] = np.inf
-        row = int(np.argmin(finish))
-        if not np.isfinite(finish[row]):
-            return None
-        return int(self._row_flow_id[row]), float(finish[row])
+        old = np.frombuffer(self.rate)
+        changed = np.nonzero(rates != old)[0]
+        if changed.size:
+            entry_col = np.frombuffer(self.entry_col, dtype=np.int64)
+            terms = (rates - old)[self._entry_rows()]
+            terms *= np.frombuffer(self.entry_work)
+            kind_rate = np.array(self.kind_rate)
+            np.add.at(kind_rate, np.frombuffer(self.col_kind, dtype=np.int64)[entry_col], terms)
+            self.kind_rate = kind_rate.tolist()
+            old[changed] = rates[changed]
+        return changed.tolist()
 
-    def resource_view(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-resource (CSC) transpose: ``(indptr, entry_index)``.
+    def advance(self, elapsed: float) -> None:
+        """The base advance over whole arrays (a rate-0 row stays put)."""
+        import numpy as np
 
-        ``entry_index[indptr[c]:indptr[c+1]]`` lists this pack's entry
-        indices for column ``c`` in flow-id order (the argsort is stable and
-        entries are appended flow-major).  Used by resource-major consumers
-        and the structure property tests.
-        """
-        e = self.n_entries
-        order = np.argsort(self._entry_col[:e], kind="stable")
-        counts = np.bincount(self._entry_col[:e], minlength=self.n_cols)
-        indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, order
+        remaining = np.frombuffer(self.remaining)
+        np.maximum(remaining - np.frombuffer(self.rate) * elapsed, 0.0, out=remaining)

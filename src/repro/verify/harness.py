@@ -12,8 +12,8 @@ returns the trace next to the result), and concatenates what each
 The ``verify_*`` functions are presets, one axis plus its comparators:
 
 * :func:`verify_scenario` — allocators, :func:`compare_runs`: makespan,
-  channel and flow-rate timelines bitwise, op completion order exact,
-  utilisation to 1e-9 relative (summation order differs by allocator);
+  channel and flow-rate timelines and utilisation bitwise, op completion
+  order exact;
 * :func:`verify_backends` — backends, :func:`compare_backend_runs`:
   makespan and op order within documented tolerances (the backends share
   only the control loop above the transport contract, so agreement is
@@ -59,9 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Kinds a differential run records: the canonical stream plus rate changes.
 DIFFERENTIAL_KINDS = frozenset(CANONICAL_KINDS) | {FlowRateChanged.kind}
-
-#: Relative tolerance for final utilisation reports (summation-order noise).
-UTILISATION_REL_TOL = 1e-9
 
 #: Documented makespan agreement between transport backends: the fluid and
 #: detailed granularities model the same physics at different resolutions
@@ -372,8 +369,9 @@ def compare_runs(a: TracedRun, b: TracedRun) -> List[Divergence]:
     else:
         for kind in sorted(util_a):
             x, y = util_a[kind], util_b[kind]
-            scale = max(abs(x), abs(y), 1.0)
-            if abs(x - y) > UTILISATION_REL_TOL * scale:
+            # Bitwise: every allocator advances one usage integral from the
+            # same per-kind rate sums.
+            if x != y:
                 divergences.append(
                     Divergence(
                         name,

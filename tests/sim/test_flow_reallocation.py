@@ -55,9 +55,7 @@ def _planned(machine, index):
 
 
 def _rate(transport, flow_id):
-    if transport._pack is not None:
-        return transport._pack.rate_of(flow_id)
-    return transport._flows[flow_id].rate
+    return transport._pack.rate_of(flow_id)
 
 
 @pytest.mark.parametrize("allocator", ALLOCATORS)

@@ -171,7 +171,7 @@ class TestFigure16Behaviour:
 class TestCompletionEpsilonUnification:
     """Regression for the completion-epsilon split.
 
-    ``_schedule_completion`` used to test residual work against the far
+    Completion scheduling used to test residual work against the far
     tighter ``_SATURATION_EPS`` (1e-12) while ``_complete`` accepted at
     ``_COMPLETION_EPS`` (1e-9).  A flow whose residue landed strictly between
     the two scheduled an immediate completion event whose handler then
@@ -202,11 +202,8 @@ class TestCompletionEpsilonUnification:
         # Drop the residual work into the gap between the two epsilons.
         residue = 5e-10
         assert _SATURATION_EPS < residue <= _COMPLETION_EPS
-        flow = next(iter(transport._flows.values()))
-        if transport._pack is not None:
-            transport._pack._remaining[transport._pack.row_of(flow.flow_id)] = residue
-        else:
-            flow.remaining = residue
+        flow_id = next(iter(transport._flows))
+        transport._pack.remaining[transport._pack.row_of(flow_id)] = residue
         transport._reallocate()
         for _ in range(64):
             if not engine.step():

@@ -115,10 +115,10 @@ class TestTracedFlowRuns:
         assert fingerprint(inc) == fingerprint(ref)
 
     def test_vectorized_trace_identical_up_to_heap_sequence(self):
-        # The vectorized allocator keeps ONE chained completion event instead
-        # of N per-flow ones, so heap insertion *sequence* numbers differ —
-        # but every event still executes at the identical (time, priority)
-        # and every non-bookkeeping record is bitwise identical.
+        # Every event executes at the identical (time, priority) and every
+        # non-bookkeeping record is bitwise identical.  (Heap insertion
+        # sequence numbers are normalised away: they differed while only the
+        # vectorized allocator chained its completion events.)
         def normalised(bus):
             out = []
             for record in bus.records:

@@ -1,6 +1,7 @@
 """Differential-verification harness behaviour."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -91,6 +92,16 @@ class TestCompareRuns:
         a = traced_run(get_scenario("smoke"))
         b = traced_run(get_scenario("smoke"))
         assert compare_runs(a, b) == []
+
+    def test_detects_one_ulp_utilisation_difference(self):
+        a = traced_run(get_scenario("smoke"))
+        b = traced_run(get_scenario("smoke"))
+        kind = sorted(b.result.resource_utilisation)[0]
+        value = b.result.resource_utilisation[kind]
+        b.result.resource_utilisation[kind] = math.nextafter(value, math.inf)
+        divergences = compare_runs(a, b)
+        assert [d.aspect for d in divergences] == ["utilisation"]
+        assert kind in divergences[0].detail
 
 
 class TestBackendCrossCheck:
